@@ -6,9 +6,10 @@ the action is coordinatewise multiplication.  Because the action factors
 through repeated addition, every additive subgroup is a submodule, which
 keeps enumeration exact and cheap at the orders we care about.
 
-All predicates (prime, second, large, small, ...) are decided by direct
-exhaustion over ring and module elements, so the results double as
-machine-checked evidence rather than trusting structure theory.
+Second and prime are decided by direct exhaustion over ring and module
+elements.  The lattice stores each member as an int bitmask over element
+positions, so meet, join and the order flags (minimal, maximal, large,
+small) are read off the masks and the member orders.
 """
 from __future__ import annotations
 
@@ -114,7 +115,7 @@ class Ring:
 class FiniteModule:
     """A finite Z_n-module given as Z_{d_1} x ... x Z_{d_k}, each d_i | n."""
 
-    __slots__ = ("ring", "invariant_factors", "_elements", "_scaled")
+    __slots__ = ("ring", "invariant_factors", "_elements", "_scaled", "_repeats")
 
     def __init__(self, ring: Ring, invariant_factors: tuple[int, ...]):
         factors = tuple(invariant_factors)
@@ -130,6 +131,7 @@ class FiniteModule:
         self.invariant_factors = factors
         self._elements = None
         self._scaled = {}
+        self._repeats = {}
 
     @property
     def order(self) -> int:
@@ -163,6 +165,47 @@ class FiniteModule:
         return (isinstance(x, tuple) and len(x) == len(self.invariant_factors)
                 and all(isinstance(a, int) and 0 <= a < d
                         for a, d in zip(x, self.invariant_factors)))
+
+    def position(self, x: Element) -> int:
+        """Index of x in `elements()`: its digits in the mixed radix of the factors."""
+        p = 0
+        for a, d in zip(x, self.invariant_factors):
+            p = p * d + a
+        return p
+
+    def mask_of(self, elements) -> int:
+        """Bitmask over element positions with one bit per element."""
+        mask = 0
+        for x in elements:
+            mask |= 1 << self.position(x)
+        return mask
+
+    def elements_in(self, mask: int) -> frozenset:
+        """The elements whose position bits are set in mask."""
+        els = self.elements()
+        return frozenset(els[p] for p in bit_positions(mask))
+
+    def translate(self, mask: int, x: Element) -> int:
+        """The mask of {m + x : m in mask}.
+
+        Adding t in a component of weight w moves every position whose digit
+        there is below d - t up by t*w, and wraps the others down by (d-t)*w;
+        the positions with a low digit form the low (d-t)*w bits of every
+        block of d*w positions.
+        """
+        weight = self.order
+        for t, d in zip(x, self.invariant_factors):
+            weight //= d
+            if t:
+                block = d * weight
+                repeat = self._repeats.get(block)
+                if repeat is None:
+                    # one bit at the start of every block
+                    repeat = ((1 << self.order) - 1) // ((1 << block) - 1)
+                    self._repeats[block] = repeat
+                low = ((1 << (d - t) * weight) - 1) * repeat
+                mask = (mask & low) << t * weight | (mask & ~low) >> (d - t) * weight
+        return mask
 
     def unit_generators(self) -> tuple[Element, ...]:
         """The standard generating set: one unit vector per component."""
@@ -280,7 +323,7 @@ class Submodule:
 
     def __lt__(self, other):
         _require_same_module(self, other)
-        return self.elements < other.elements and self.elements != other.elements
+        return self.elements < other.elements
 
     def __contains__(self, x):
         return x in self.elements
@@ -300,49 +343,60 @@ def _require_same_module(a: Submodule, b: Submodule) -> None:
         raise ValueError("submodules live in different modules")
 
 
-def _grow(module: FiniteModule, closed: set, g: Element) -> set:
-    # Extend the subgroup `closed` by the cosets closed + k*g.  Since the
-    # group is abelian the union of those cosets is already a subgroup.
-    if g in closed:
-        return closed
-    base = tuple(closed)
-    add = module.add
+def bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first."""
+    bits = bin(mask)[:1:-1]  # least significant digit first, "0b" dropped
+    out = []
+    p = bits.find("1")
+    while p >= 0:
+        out.append(p)
+        p = bits.find("1", p + 1)
+    return out
+
+
+def _grow(module: FiniteModule, closed: int, g: Element) -> int:
+    # Extend the subgroup mask `closed` by the cosets closed + k*g, which
+    # already form a subgroup since the group is abelian.  Doubling: with
+    # T = closed + {0..m-1}g, T | (T + m*g) is closed + {0..2m-1}g, and
+    # once that adds nothing, T + g lies in T, so T is the sum.
     step = g
-    while step not in closed:
-        closed.update(add(x, step) for x in base)
-        step = add(step, g)
+    while True:
+        grown = closed | module.translate(closed, step)
+        if grown == closed:
+            return closed
+        closed = grown
+        step = module.add(step, step)
+
+
+def _closure(module: FiniteModule, gens) -> int:
+    closed = 1  # the zero element sits at position 0
+    for g in gens:
+        closed = _grow(module, closed, g)
     return closed
 
 
-def _closure(module: FiniteModule, gens) -> frozenset:
-    closed = {module.zero}
-    for g in sorted(set(gens)):
-        _grow(module, closed, g)
-    return frozenset(closed)
-
-
-def _greedy_generators(module: FiniteModule, elements: frozenset) -> list[Element]:
-    gens: list[Element] = []
-    closed: set = {module.zero}
-    for x in sorted(elements):
-        if x not in closed:
-            gens.append(x)
-            _grow(module, closed, x)
-    return gens
-
-
-def _canonical_generators(module: FiniteModule, elements: frozenset) -> tuple[Element, ...]:
+def _canonical_generators(module: FiniteModule, mask: int) -> tuple[Element, ...]:
     # Greedy pick in element order, then drop anything redundant so the
     # recorded generating set is minimal by construction.
-    gens = _greedy_generators(module, elements)
+    els = module.elements()
+    gens: list[Element] = []
+    closed = 1
+    for p in bit_positions(mask):
+        if not closed >> p & 1:
+            gens.append(els[p])
+            closed = _grow(module, closed, els[p])
     pruned = list(gens)
-    for g in list(gens):
+    for g in gens:
         if len(pruned) == 1:
             break
         trial = [h for h in pruned if h != g]
-        if _closure(module, trial) == elements:
+        if _closure(module, trial) == mask:
             pruned = trial
     return tuple(pruned)
+
+
+def _from_mask(module: FiniteModule, mask: int) -> Submodule:
+    return Submodule(module, module.elements_in(mask), _canonical_generators(module, mask))
 
 
 def span(module: FiniteModule, gens) -> Submodule:
@@ -351,25 +405,23 @@ def span(module: FiniteModule, gens) -> Submodule:
     for g in gens:
         if not module.contains(g):
             raise ValueError(f"element {g!r} is not in {module.descriptor}")
-    elements = _closure(module, gens)
-    return Submodule(module, elements, _canonical_generators(module, elements))
+    return _from_mask(module, _closure(module, gens))
 
 
 def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
     """N + K, the join in the submodule lattice."""
     _require_same_module(n, k)
-    closed = set(n.elements)
+    module = n.module
+    closed = module.mask_of(n.elements)
     for g in k.generators:
-        _grow(n.module, closed, g)
-    elements = frozenset(closed)
-    return Submodule(n.module, elements, _canonical_generators(n.module, elements))
+        closed = _grow(module, closed, g)
+    return _from_mask(module, closed)
 
 
 def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     """N intersect K, the meet in the submodule lattice."""
     _require_same_module(n, k)
-    elements = n.elements & k.elements
-    return Submodule(n.module, elements, _canonical_generators(n.module, elements))
+    return _from_mask(n.module, n.module.mask_of(n.elements & k.elements))
 
 
 def _colon_elements(n: Submodule, module: FiniteModule) -> frozenset:
@@ -445,18 +497,21 @@ class ModuleProperties:
 def enumerate_submodules(module: FiniteModule, *,
                          max_order: int = MAX_MODULE_ORDER,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
-    """Every submodule of M: cyclic spans closed under pairwise join.
+    """Every submodule of M: the cyclic ones, closed under adding a cyclic summand.
 
     Cyclic spans are collected once per cyclic submodule (all other
-    generators of the same walk are skipped), then joins are added until
-    nothing new appears.  Sums of cyclic submodules exhaust the lattice.
+    generators of the same walk are skipped).  Every submodule is a sum
+    of cyclic ones, so adding one cyclic summand at a time to each member
+    found, until nothing new appears, reaches them all.  A summand that
+    is comparable with the member cannot give anything new and is skipped
+    without a grow, which leaves chain lattices free of grows.
     """
     if module.order > max_order:
         raise SizeGuardError(
             f"module order {module.order} exceeds the guard {max_order}")
     zero = module.zero
     add = module.add
-    subs: set[frozenset] = {frozenset({zero})}
+    cyclic: list[tuple[Element, int, int]] = []  # generator, its bit, span mask
     seen = {zero}
     for x in module.elements():
         if x in seen:
@@ -467,47 +522,54 @@ def enumerate_submodules(module: FiniteModule, *,
             multiples.append(cur)
             cur = add(cur, x)
         m = len(multiples) + 1
-        subs.add(frozenset([zero, *multiples]))
+        cyclic.append((x, 1 << module.position(x), module.mask_of([zero, *multiples])))
         for k in range(1, m):
             if gcd(k, m) == 1:
                 seen.add(multiples[k - 1])
 
-    gens_of = {fs: _greedy_generators(module, fs) for fs in subs}
+    subs = {1, *(c for _, _, c in cyclic)}
+    if len(subs) > max_lattice:
+        raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
     queue = list(subs)
     while queue:
         a = queue.pop()
-        for b in list(subs):
-            if a <= b or b <= a:
+        for g, bit, c in cyclic:
+            if a & bit or a & c == a:
                 continue
-            joined = set(a)
-            for g in gens_of[b]:
-                _grow(module, joined, g)
-            fs = frozenset(joined)
-            if fs not in subs:
-                subs.add(fs)
+            joined = _grow(module, a, g)
+            if joined not in subs:
+                subs.add(joined)
                 if len(subs) > max_lattice:
                     raise SizeGuardError(
                         f"lattice size exceeds the guard {max_lattice}")
-                gens_of[fs] = _greedy_generators(module, fs)
-                queue.append(fs)
+                queue.append(joined)
 
-    ordered = sorted(subs, key=sorted)
-    members = tuple(Submodule(module, fs, _canonical_generators(module, fs))
-                    for fs in ordered)
-    return SubmoduleLattice(module, members)
+    # ascending positions list the elements in sorted order
+    masks = sorted(subs, key=bit_positions)
+    return SubmoduleLattice(module, tuple(_from_mask(module, m) for m in masks), masks)
 
 
 class SubmoduleLattice:
     """The full submodule lattice with classification flags.
 
-    Flags are computed lazily per category and cached, each one by
-    exhausting its definition over ring and module elements.
+    `masks[i]` is member i as an int bitmask over the positions of the
+    module's elements (see `FiniteModule.position`), so meet is a mask AND,
+    containment a mask test, and join a search of one order bucket.
+    Second and prime flags exhaust their definitions over ring and module
+    elements; the order flags are read off the masks.  Every flag family
+    is computed lazily and cached.
     """
 
-    def __init__(self, module: FiniteModule, members: tuple[Submodule, ...]):
+    def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
+                 masks: list[int]):
         self.module = module
         self.all = members
         self._index = {s.elements: i for i, s in enumerate(members)}
+        self._mask = masks
+        self._by_mask = {m: i for i, m in enumerate(self._mask)}
+        self._by_order: dict[int, list[int]] = {}
+        for i, s in enumerate(members):
+            self._by_order.setdefault(s.order, []).append(i)
         self._zero_fs = frozenset({module.zero})
         self._second = None
         self._prime = None
@@ -515,8 +577,6 @@ class SubmoduleLattice:
         self._maximal = None
         self._large = None
         self._small = None
-        self._join: dict[tuple[int, int], int] = {}
-        self._meet: dict[tuple[int, int], int] = {}
         self._colon: dict[int, frozenset] = {}
         self._ann: dict[int, frozenset] = {}
         self._props = None
@@ -529,14 +589,11 @@ class SubmoduleLattice:
 
     @property
     def zero(self) -> Submodule:
-        return self.all[self._index[self._zero_fs]]
+        return self.all[self._by_mask[1]]  # the zero element sits at position 0
 
     @property
     def top(self) -> Submodule:
-        for s in self.all:
-            if s.is_full:
-                return s
-        raise AssertionError("lattice is missing the full module")
+        return self.all[self._by_order[self.module.order][0]]
 
     def proper_nonzero(self) -> tuple[Submodule, ...]:
         return tuple(s for s in self.all if not s.is_zero and not s.is_full)
@@ -551,20 +608,25 @@ class SubmoduleLattice:
         return self.all[self._index[frozenset(elements)]]
 
     def join(self, a: Submodule, b: Submodule) -> Submodule:
-        i, j = sorted((self.index_of(a), self.index_of(b)))
-        got = self._join.get((i, j))
-        if got is None:
-            got = self._index[submodule_sum(self.all[i], self.all[j]).elements]
-            self._join[(i, j)] = got
-        return self.all[got]
+        # |A + B| = |A||B| / |A n B|, and A + B is the one member of that
+        # order containing A u B: any other would be a second upper bound
+        # of the same order, so it would equal the least one.
+        i, j = self.index_of(a), self.index_of(b)
+        mi, mj = self._mask[i], self._mask[j]
+        union = mi | mj
+        if union == mj:
+            return self.all[j]
+        if union == mi:
+            return self.all[i]
+        order = mi.bit_count() * mj.bit_count() // (mi & mj).bit_count()
+        for k in self._by_order[order]:
+            if self._mask[k] & union == union:
+                return self.all[k]
+        raise AssertionError("lattice is missing a join")
 
     def meet(self, a: Submodule, b: Submodule) -> Submodule:
-        i, j = sorted((self.index_of(a), self.index_of(b)))
-        got = self._meet.get((i, j))
-        if got is None:
-            got = self._index[self.all[i].elements & self.all[j].elements]
-            self._meet[(i, j)] = got
-        return self.all[got]
+        return self.all[self._by_mask[self._mask[self.index_of(a)]
+                                      & self._mask[self.index_of(b)]]]
 
     # -- classification flags ------------------------------------------
 
@@ -608,7 +670,9 @@ class SubmoduleLattice:
             out = []
             module = self.module
             scale = module.scale
-            for s in self.all:
+            els = module.elements()
+            full = (1 << module.order) - 1
+            for s, mask in zip(self.all, self._mask):
                 if s.is_full:
                     out.append(False)
                     continue
@@ -617,11 +681,11 @@ class SubmoduleLattice:
                 # whether r*m lands in P depends on m only through m + P,
                 # so one representative per nonzero coset suffices
                 reps = []
-                covered = set(members)
-                for m in module.elements():
-                    if m not in covered:
-                        reps.append(m)
-                        covered.update(module.add(m, p) for p in members)
+                covered = mask
+                while covered != full:
+                    m = els[(~covered & (covered + 1)).bit_length() - 1]
+                    reps.append(m)
+                    covered |= module.translate(mask, m)
                 ok = True
                 for r in module.ring.elements():
                     if r in colon:
@@ -633,49 +697,56 @@ class SubmoduleLattice:
             self._prime = out
         return self._prime
 
+    def _order_extremes(self, below: bool) -> list[bool]:
+        # nonzero proper members with no other one strictly below (above);
+        # the candidates most likely to be below (above) are tried first
+        masks = self._mask
+        candidates = sorted((i for i, s in enumerate(self.all)
+                             if not s.is_zero and not s.is_full),
+                            key=lambda i: masks[i].bit_count(), reverse=not below)
+        out = [False] * len(self.all)
+        for i in candidates:
+            mi = masks[i]
+            if below:
+                out[i] = not any(masks[j] & mi == masks[j] != mi for j in candidates)
+            else:
+                out[i] = not any(masks[j] & mi == mi != masks[j] for j in candidates)
+        return out
+
     def _minimal_flags(self) -> list[bool]:
         if self._minimal is None:
-            candidates = [(i, s) for i, s in enumerate(self.all)
-                          if not s.is_zero and not s.is_full]
-            out = [False] * len(self.all)
-            for i, s in candidates:
-                if not any(t.elements < s.elements for j, t in candidates if j != i):
-                    out[i] = True
-            self._minimal = out
+            self._minimal = self._order_extremes(below=True)
         return self._minimal
 
     def _maximal_flags(self) -> list[bool]:
         if self._maximal is None:
-            candidates = [(i, s) for i, s in enumerate(self.all)
-                          if not s.is_zero and not s.is_full]
-            out = [False] * len(self.all)
-            for i, s in candidates:
-                if not any(s.elements < t.elements for j, t in candidates if j != i):
-                    out[i] = True
-            self._maximal = out
+            self._maximal = self._order_extremes(below=False)
         return self._maximal
 
     def _large_flags(self) -> list[bool]:
+        # every nonzero submodule contains a minimal one, and a minimal one
+        # meets S nontrivially only inside S: S is large iff it contains
+        # them all (when M is simple there are none and M alone is large)
         if self._large is None:
-            nonzero = [s for s in self.all if not s.is_zero]
-            out = []
-            for s in self.all:
-                out.append(not s.is_zero and all(
-                    len(s.elements & t.elements) > 1 for t in nonzero))
-            self._large = out
+            socle = 0
+            for i, flag in enumerate(self._minimal_flags()):
+                if flag:
+                    socle |= self._mask[i]
+            self._large = [not s.is_zero and self._mask[i] & socle == socle
+                           for i, s in enumerate(self.all)]
         return self._large
 
     def _small_flags(self) -> list[bool]:
+        # every proper submodule lies in a maximal one, so S + T = M for a
+        # proper T iff S escapes some maximal: S is small iff it lies in all
+        # of them (when M is simple there are none and 0 alone is small)
         if self._small is None:
-            proper = [s for s in self.all if not s.is_full]
-            top = self.top
-            out = []
-            for s in self.all:
-                if s.is_full:
-                    out.append(False)
-                    continue
-                out.append(all(self.join(s, t) != top for t in proper))
-            self._small = out
+            radical = (1 << self.module.order) - 1
+            for i, flag in enumerate(self._maximal_flags()):
+                if flag:
+                    radical &= self._mask[i]
+            self._small = [not s.is_full and self._mask[i] & radical == self._mask[i]
+                           for i, s in enumerate(self.all)]
         return self._small
 
     def is_second(self, sub: Submodule) -> bool:
@@ -752,13 +823,13 @@ class SubmoduleLattice:
 
         gens = module.unit_generators()
         multiplication = True
-        for s in self.all:
+        for s, mask in zip(self.all, self._mask):
             d = ring.modulus
             for r in self.colon_elements(s):
                 d = gcd(d, r)
             # the colon ideal is dZ_n, so its product with M is spanned by d*gens
             image = _closure(module, [scale(d, g) for g in gens])
-            if image != s.elements:
+            if image != mask:
                 multiplication = False
                 break
 

@@ -13,11 +13,10 @@ from .algebra import (
     MAX_MODULE_ORDER,
     DescriptorError,
     SizeGuardError,
-    _format_element,
     enumerate_submodules,
     parse_descriptor,
 )
-from .graphs import TILDE_KINDS, GraphKind, build_graph, export_graph
+from .graphs import TILDE_KINDS, GraphKind, _element_set_text, build_graph, export_graph
 from .harness import DEFAULT_FAMILY, Instance, run_suite
 
 
@@ -80,10 +79,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _element_text(sub) -> str:
-    return "{" + ",".join(_format_element(x) for x in sorted(sub.elements)) + "}"
-
-
 def _cmd_enumerate(args) -> int:
     _ring, module = parse_descriptor(args.module, args.ring)
     lattice = enumerate_submodules(module, max_order=args.max_order)
@@ -106,7 +101,7 @@ def _cmd_enumerate(args) -> int:
     lines = [f"module {module.descriptor} over {module.ring.descriptor}: "
              f"{len(lattice)} submodules"]
     for s in lattice.all:
-        lines.append(f"{s.label()} order={s.order} elements={_element_text(s)}")
+        lines.append(f"{s.label()} order={s.order} elements={_element_set_text(s)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -26,6 +26,7 @@ from .algebra import (
     Submodule,
     SubmoduleLattice,
     _format_element,
+    bit_positions,
     enumerate_submodules,
 )
 
@@ -55,7 +56,8 @@ class GraphVertex:
 
 
 class SimpleGraph:
-    """Undirected graph on lattice vertices with set-based adjacency."""
+    """Undirected graph on lattice vertices; adjacency row i is an int
+    bitmask with bit j set when i and j are adjacent."""
 
     def __init__(self, kind: GraphKind, ring: Ring, module: FiniteModule,
                  vertices: tuple[GraphVertex, ...], edges: list[tuple[int, int]]):
@@ -64,10 +66,10 @@ class SimpleGraph:
         self.module = module
         self.vertices = vertices
         self._edges = sorted(edges)
-        self._adj = [set() for _ in vertices]
+        self._adj = [0] * len(vertices)
         for i, j in self._edges:
-            self._adj[i].add(j)
-            self._adj[j].add(i)
+            self._adj[i] |= 1 << j
+            self._adj[j] |= 1 << i
         self._by_elements = {v.submodule.elements: v.index for v in vertices}
 
     @property
@@ -82,13 +84,13 @@ class SimpleGraph:
         return list(self._edges)
 
     def adjacent(self, i: int, j: int) -> bool:
-        return j in self._adj[i]
+        return bool(self._adj[i] >> j & 1)
 
     def neighbors(self, i: int) -> set:
-        return set(self._adj[i])
+        return set(bit_positions(self._adj[i]))
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return self._adj[i].bit_count()
 
     def vertex_for(self, sub: Submodule) -> GraphVertex:
         """The vertex carrying this submodule (or this ideal)."""
@@ -220,45 +222,49 @@ class GraphMetrics:
         }
 
 
-def _bfs_distances(g: SimpleGraph, root: int) -> list[float]:
-    dist = [inf] * g.vertex_count
-    dist[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g._adj[u]:
-                if dist[w] == inf:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def _bfs_distances(g: SimpleGraph, root: int) -> tuple[int, int]:
+    """Eccentricity of root within its component, and that component's mask."""
+    adj = g._adj
+    reached = frontier = 1 << root
+    ecc = 0
+    while True:
+        nxt = 0
+        for u in bit_positions(frontier):
+            nxt |= adj[u]
+        frontier = nxt & ~reached
+        if not frontier:
+            return ecc, reached
+        reached |= frontier
+        ecc += 1
 
 
 def _girth(g: SimpleGraph) -> float:
-    # BFS from every root; a non-tree edge seen from the root on a
-    # shortest cycle witnesses its exact length, so the global minimum
-    # over roots is the girth.
+    # Layered BFS from every root.  A vertex at depth d with a neighbour
+    # at the same depth closes a cycle of length at most 2d+1; one reached
+    # from two vertices at depth d closes one of length at most 2d+2.
+    # From a root on a shortest cycle the bound is met exactly, so the
+    # minimum over roots is the girth.  No simple graph beats 3.
+    adj = g._adj
     best = inf
-    n = g.vertex_count
-    for root in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[root] = 0
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g._adj[u]:
-                    if dist[w] == -1:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif w != parent[u]:
-                        cand = dist[u] + dist[w] + 1
-                        if cand < best:
-                            best = cand
+    for root in range(g.vertex_count):
+        reached = frontier = 1 << root
+        depth = 0
+        while frontier and 2 * depth + 1 < best:
+            nxt = 0
+            for u in bit_positions(frontier):
+                row = adj[u]
+                if row & frontier:
+                    best = 2 * depth + 1
+                    break
+                fresh = row & ~reached
+                if fresh & nxt:
+                    best = min(best, 2 * depth + 2)
+                nxt |= fresh
+            if best == 3:
+                return best
+            reached |= nxt
             frontier = nxt
+            depth += 1
     return best
 
 
@@ -266,12 +272,7 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     n = g.vertex_count
     if n == 0:
         return 0, ()
-    closed = [0] * n
-    for v in range(n):
-        mask = 1 << v
-        for w in g._adj[v]:
-            mask |= 1 << w
-        closed[v] = mask
+    closed = [row | 1 << v for v, row in enumerate(g._adj)]
     full = (1 << n) - 1
 
     # greedy pass for an upper bound and a fallback witness
@@ -280,26 +281,22 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     while covered != full:
         best_v, best_gain = -1, -1
         for v in range(n):
-            gain = bin(closed[v] & ~covered).count("1")
+            gain = (closed[v] & ~covered).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
         greedy.append(best_v)
         covered |= closed[best_v]
     best_set = sorted(greedy)
 
-    coverers = [[] for _ in range(n)]
-    for v in range(n):
-        for u in range(n):
-            if closed[u] >> v & 1:
-                coverers[v].append(u)
-    for v in range(n):
-        coverers[v].sort(key=lambda u: (-bin(closed[u]).count("1"), u))
-    max_gain = max(bin(m).count("1") for m in closed)
+    # closed neighbourhoods are symmetric: v's coverers are closed[v] itself
+    coverers = [sorted(bit_positions(closed[v]), key=lambda u: (-closed[u].bit_count(), u))
+                for v in range(n)]
+    max_gain = max(m.bit_count() for m in closed)
 
     def search(uncovered: int, budget: int, chosen: list[int]) -> list[int] | None:
         if uncovered == 0:
             return list(chosen)
-        if budget == 0 or bin(uncovered).count("1") > budget * max_gain:
+        if budget == 0 or uncovered.bit_count() > budget * max_gain:
             return None
         v = (uncovered & -uncovered).bit_length() - 1
         for u in coverers[v]:
@@ -332,17 +329,12 @@ def graph_metrics(g: SimpleGraph) -> GraphMetrics:
         connected = True
         diameter: float = 0
     else:
-        dist0 = _bfs_distances(g, 0)
-        connected = all(d != inf for d in dist0)
+        _ecc, reached = _bfs_distances(g, 0)
+        connected = reached == (1 << n) - 1
         if not connected:
             diameter = inf
         else:
-            diameter = 0
-            for root in range(n):
-                ecc = max(_bfs_distances(g, root))
-                if ecc > diameter:
-                    diameter = ecc
-            diameter = int(diameter)
+            diameter = max(_bfs_distances(g, root)[0] for root in range(n))
 
     girth = _girth(g)
     dom_n, dom_set = _domination(g)

@@ -1,13 +1,15 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes results a second way: subgroups come from a
-power-set filter, a divisor walk, a basis parameterization, or RREF
-matrices instead of span closure; flags come from raw definitional loops
-over all elements; graph invariants come from Floyd-Warshall and subset
-search.  The oracles deliberately avoid the package's enumeration and
+power-set filter, a divisor walk, a basis parameterization, RREF
+matrices or a closure of every triple of elements instead of the package's
+enumeration; flags come from raw definitional loops over all elements and
+all submodules, joins from closing the union under addition; graph
+invariants come from Floyd-Warshall and subset search.  The oracles deliberately avoid the package's enumeration and
 metric code paths.
 """
-from itertools import combinations, permutations, product as cartesian
+from itertools import (combinations, combinations_with_replacement, permutations,
+                       product as cartesian)
 from math import gcd, inf
 
 
@@ -138,6 +140,14 @@ def rref_subspaces(p):
     return out
 
 
+def all_triples_subgroups(factors):
+    """The subgroups generated by at most three elements, one closure per
+    triple; for rank at most 3 that is every subgroup."""
+    els = elements_of(factors)
+    return {close_under_addition(triple, factors)
+            for triple in combinations_with_replacement(els, 3)}
+
+
 def gaussian_subspace_total(p):
     # 1 + [3:1]_p + [3:2]_p + 1 with both middle counts p^2 + p + 1
     return 2 + 2 * (p * p + p + 1)
@@ -183,6 +193,40 @@ def brute_annihilator(sub):
     zero = module.zero
     return frozenset(r for r in module.ring.elements()
                      if all(module.scale(r, x) == zero for x in sub.elements))
+
+
+# ---- brute-force order flags and lattice operations on package objects
+# (element sets only; `subs` is every submodule of the module)
+
+def brute_join(a, b):
+    """A + B as the subgroup generated by A u B."""
+    return close_under_addition(a.elements | b.elements, a.module.invariant_factors)
+
+
+def brute_minimal(sub, subs):
+    if sub.order in (1, sub.module.order):
+        return False
+    return not any(t.order > 1 and t.elements < sub.elements for t in subs)
+
+
+def brute_maximal(sub, subs):
+    if sub.order in (1, sub.module.order):
+        return False
+    return not any(t.order < sub.module.order and sub.elements < t.elements
+                   for t in subs)
+
+
+def brute_large(sub, subs):
+    """Meets every nonzero submodule nontrivially."""
+    return sub.order > 1 and all(len(sub.elements & t.elements) > 1
+                                 for t in subs if t.order > 1)
+
+
+def brute_small(sub, subs):
+    """Sums with no proper submodule to the whole module."""
+    order = sub.module.order
+    return sub.order < order and all(len(brute_join(sub, t)) < order
+                                     for t in subs if t.order < order)
 
 
 # ---- exhaustive graph invariants

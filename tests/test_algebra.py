@@ -1,5 +1,6 @@
 """Lattice enumeration, classification flags, and module properties."""
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -141,8 +142,29 @@ def test_vector_space_lattices_match_rref(p):
     assert len(inst.lattice) == helpers.gaussian_subspace_total(p)
 
 
+@pytest.mark.parametrize("module_text,size", [("Z2xZ2xZ4", 27)])
+def test_rank3_lattice_matches_all_triples_closure(module_text, size):
+    inst = make_instance(module_text)
+    expected = helpers.all_triples_subgroups(inst.module.invariant_factors)
+    assert {s.elements for s in inst.lattice.all} == expected
+    assert len(expected) == size
+
+
+@pytest.mark.parametrize("module_text,size", [("Z4xZ4xZ4", 129), ("Z2xZ4xZ8", 81),
+                                              ("Z16xZ16", helpers.rank2_count(16, 16))])
+def test_subgroup_counts_are_symmetric_in_the_order(module_text, size):
+    # a finite abelian group's subgroup lattice is self-dual through its
+    # character group, so as many subgroups have order k as index k
+    inst = make_instance(module_text)
+    counts = Counter(s.order for s in inst.lattice.all)
+    order = inst.module.order
+    assert len(inst.lattice) == size
+    assert all(counts[k] == counts[order // k] for k in counts)
+
+
 FLAG_SAMPLE = [("Z12", None), ("Z16", None), ("Z30", None),
-               ("Z2xZ4", "Z4"), ("Z3xZ9", None), ("Z2xZ2xZ2", "Z2")]
+               ("Z2xZ4", "Z4"), ("Z3xZ9", None), ("Z2xZ2xZ2", "Z2"),
+               ("Z2xZ2xZ4", None)]
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -152,6 +174,22 @@ def test_second_and_prime_flags_match_bruteforce(module_text, ring_text):
     for s in lat.all:
         assert lat.is_second(s) == helpers.brute_second(s), s
         assert lat.is_prime(s) == helpers.brute_prime(s), s
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_order_flags_join_and_meet_match_bruteforce(module_text, ring_text):
+    inst = make_instance(module_text, ring_text)
+    lat = inst.lattice
+    subs = lat.all
+    for s in subs:
+        assert lat.is_minimal(s) == helpers.brute_minimal(s, subs), s
+        assert lat.is_maximal(s) == helpers.brute_maximal(s, subs), s
+        assert lat.is_large(s) == helpers.brute_large(s, subs), s
+        assert lat.is_small(s) == helpers.brute_small(s, subs), s
+    for a in subs:
+        for b in subs:
+            assert lat.join(a, b).elements == helpers.brute_join(a, b), (a, b)
+            assert lat.meet(a, b).elements == a.elements & b.elements, (a, b)
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -265,6 +303,13 @@ def test_lattice_size_guard():
     _, module = parse_descriptor("Z2xZ2xZ2", "Z2")
     with pytest.raises(SizeGuardError):
         enumerate_submodules(module, max_lattice=3)
+
+
+def test_lattice_size_guard_counts_cyclic_submodules():
+    # all 30 submodules of Z720 are cyclic, so no sum ever adds a member
+    _, module = parse_descriptor("Z720")
+    with pytest.raises(SizeGuardError):
+        enumerate_submodules(module, max_lattice=10)
 
 
 # ------------------------------------------------------------ properties
