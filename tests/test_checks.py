@@ -1,8 +1,12 @@
 """Check registry and individual check verdicts on known instances."""
+import hashlib
+import json
+
 import pytest
 
 from conftest import make_instance
-from modgraphs import CHECKS, CHECKS_BY_ID, GraphKind, evaluate_check
+from modgraphs import (CHECKS, CHECKS_BY_ID, GraphKind, Instance, SimpleGraph,
+                       evaluate_check, generate_family)
 from modgraphs.checks import REPORT, STRICT, Check
 
 
@@ -178,3 +182,144 @@ def test_domination_checks_agree_with_metrics(z12, z2z4):
                 continue
             assert r.verdict == "pass"
             assert inst.metrics(kind).domination_number <= len(extremals)
+
+
+# ----------------------------------------- failure witnesses, pinned exactly
+#
+# No module in the bundled families breaks a strict check, so the failure
+# witnesses are reached here by doctoring the graphs an instance hands to
+# the checks.  The digest pins every verdict and witness byte; the key map
+# states which witness shapes each check produced.
+
+DOCTORED_FAMILY = "cyclic:2..40,product:ab<=32,vector:2^3,vector:3^2"
+DOCTORED_KINDS = (GraphKind.SSI, GraphKind.PSS,
+                  GraphKind.SSI_TILDE, GraphKind.PSS_TILDE)
+
+
+def _all_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _cycle(n):
+    if n < 3:
+        return _all_pairs(n)
+    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+
+
+def _swapped(base, kind):
+    other = {GraphKind.SSI: GraphKind.PSS, GraphKind.PSS: GraphKind.SSI}.get(kind)
+    return None if other is None else base.graph(other).edges()
+
+
+def _emptied(base, kind):
+    return [] if kind in DOCTORED_KINDS else None
+
+
+def _completed(base, kind):
+    if kind not in DOCTORED_KINDS:
+        return None
+    return _all_pairs(base.graph(kind).vertex_count)
+
+
+def _complemented(base, kind):
+    if kind not in (GraphKind.SSI, GraphKind.PSS):
+        return None
+    g = base.graph(kind)
+    return [p for p in _all_pairs(g.vertex_count) if not g.adjacent(*p)]
+
+
+def _cycled(base, kind):
+    if kind not in DOCTORED_KINDS:
+        return None
+    return _cycle(base.graph(kind).vertex_count)
+
+
+def _complete_without_tilde(base, kind):
+    if kind in (GraphKind.SSI, GraphKind.PSS):
+        return _all_pairs(base.graph(kind).vertex_count)
+    return [] if kind in DOCTORED_KINDS else None
+
+
+DOCTORINGS = (("swap", _swapped), ("empty", _emptied),
+              ("complete", _completed), ("complement", _complemented),
+              ("cycle", _cycled), ("complete_no_tilde", _complete_without_tilde))
+
+
+class DoctoredInstance(Instance):
+    """An instance whose graphs are rewired by `doctor(base, kind)`, which
+    returns the new edge list, or None to keep the real graph.  The PIS
+    graph is never rewired; the lattice is shared with `base`."""
+
+    def __init__(self, base, doctor):
+        super().__init__(base.module, max_order=base.max_order,
+                         max_lattice=base.max_lattice)
+        self._lattice = base.lattice
+        self._ring_lattice = base.ring_lattice
+        self._base = base
+        self._doctor = doctor
+
+    def graph(self, kind):
+        kind = GraphKind(str(kind))
+        if kind not in self._graphs:
+            real = self._base.graph(kind)
+            edges = self._doctor(self._base, kind)
+            self._graphs[kind] = real if edges is None else SimpleGraph(
+                kind, real.ring, real.module, real.vertices, edges)
+        return self._graphs[kind]
+
+
+# sha256 of json.dumps([[doctoring, result.as_dict()], ...]) in run order
+DOCTORED_DIGEST = "537fedbfaae4549234d195e646c0dc408c1cc4b6014b0bfc0d402b7ba79930a4"
+
+# C13/D13 never apply here: no instance is uniform (hollow) with all
+# nonzero (proper) submodules second (prime)
+DOCTORED_WITNESS_KEYS = {
+    "C1": {("universal_vertices", "minimals", "condition")},
+    "C2": {("second_socle", "non_neighbors")},
+    "C3": {("second_socle", "degree", "vertex_count")},
+    "C4": {("vertex", "isolated", "minimal_and_maximal")},
+    "C5": {("minimals",), ("neither_second_nor_maximal",)},
+    "C6": {("pair", "intersection", "intersection_second")},
+    "C7": {("pair", "annihilators", "intersection_second", "ideal_sum_prime")},
+    "C8": {("connected", "minimal_pair_spanning", "diameter")},
+    "C9": {("pair",)},
+    "C10": {("edge", "smaller_endpoint", "smaller_endpoint_second"),
+            ("noncomparable_edge", "girth")},
+    "C11": {("girth", "second_count")},
+    "C12": {("girth", "second_count")},
+    "C14": {("vertex_count", "edge_count")},
+    "C15": {("domination_number", "condition"), ("minimals", "reason"),
+            ("redundant_member",)},
+    "D1": {("universal_vertices", "maximals", "condition")},
+    "D2": {("prime_radical", "non_neighbors")},
+    "D3": {("prime_radical", "degree", "vertex_count")},
+    "D4": {("vertex", "isolated", "maximal_and_minimal")},
+    "D5": {("maximals",), ("neither_prime_nor_minimal",)},
+    "D6": {("pair", "sum", "sum_prime")},
+    "D7": {("pair", "colon_ideals", "sum_prime", "ideal_sum_prime")},
+    "D8": {("connected", "maximal_pair_meeting_in_zero", "diameter")},
+    "D9": {("minimal_pairs", "every_pair_spans", "no_pair_spans")},
+    "D10": {("edge", "larger_endpoint", "larger_endpoint_prime"),
+            ("noncomparable_edge", "girth")},
+    "D11": {("girth", "prime_count")},
+    "D12": {("girth", "prime_count")},
+    "D14": {("vertex_count", "edge_count")},
+    "D15": {("domination_number", "condition"), ("maximals", "reason"),
+            ("redundant_member",)},
+}
+
+
+def test_doctored_graphs_pin_failure_witnesses():
+    results = []
+    keys = {}
+    for base in generate_family(DOCTORED_FAMILY):
+        for name, doctor in DOCTORINGS:
+            inst = DoctoredInstance(base, doctor)
+            for check in CHECKS:
+                r = evaluate_check(check, inst)
+                results.append([name, r.as_dict()])
+                if r.verdict in ("fail", "finding"):
+                    keys.setdefault(check.id, set()).add(tuple(r.witness))
+    blob = json.dumps(results).encode()
+    assert keys == DOCTORED_WITNESS_KEYS
+    assert hashlib.sha256(blob).hexdigest() == DOCTORED_DIGEST
