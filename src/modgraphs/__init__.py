@@ -19,12 +19,10 @@ from .algebra import (
     SubmoduleFlags,
     SubmoduleLattice,
     annihilator,
-    classify_submodule,
     colon_ideal,
     divisors,
     enumerate_submodules,
     ideal_divisor,
-    module_properties,
     parse_descriptor,
     prime_radical,
     second_socle,
@@ -78,7 +76,6 @@ __all__ = [
     "SubmoduleLattice",
     "annihilator",
     "build_graph",
-    "classify_submodule",
     "colon_ideal",
     "dispatch",
     "divisors",
@@ -89,7 +86,6 @@ __all__ = [
     "graph_metrics",
     "ideal_divisor",
     "main",
-    "module_properties",
     "parse_descriptor",
     "prime_radical",
     "run_suite",

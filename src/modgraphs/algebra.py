@@ -571,12 +571,8 @@ class SubmoduleLattice:
         for i, s in enumerate(members):
             self._by_order.setdefault(s.order, []).append(i)
         self._zero_fs = frozenset({module.zero})
-        self._second = None
-        self._prime = None
-        self._minimal = None
-        self._maximal = None
-        self._large = None
-        self._small = None
+        self._flag_lists: dict[str, list[bool]] = {}
+        self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
         self._colon: dict[int, frozenset] = {}
         self._ann: dict[int, frozenset] = {}
         self._props = None
@@ -647,55 +643,51 @@ class SubmoduleLattice:
         return got
 
     def _second_flags(self) -> list[bool]:
-        if self._second is None:
-            out = []
-            scale = self.module.scale
-            ring = self.module.ring.elements()
-            for s in self.all:
-                if s.is_zero:
-                    out.append(False)
-                    continue
-                ok = True
-                for r in ring:
-                    image = frozenset(scale(r, x) for x in s.elements)
-                    if image != self._zero_fs and image != s.elements:
-                        ok = False
-                        break
-                out.append(ok)
-            self._second = out
-        return self._second
+        out = []
+        scale = self.module.scale
+        ring = self.module.ring.elements()
+        for s in self.all:
+            if s.is_zero:
+                out.append(False)
+                continue
+            ok = True
+            for r in ring:
+                image = frozenset(scale(r, x) for x in s.elements)
+                if image != self._zero_fs and image != s.elements:
+                    ok = False
+                    break
+            out.append(ok)
+        return out
 
     def _prime_flags(self) -> list[bool]:
-        if self._prime is None:
-            out = []
-            module = self.module
-            scale = module.scale
-            els = module.elements()
-            full = (1 << module.order) - 1
-            for s, mask in zip(self.all, self._mask):
-                if s.is_full:
-                    out.append(False)
+        out = []
+        module = self.module
+        scale = module.scale
+        els = module.elements()
+        full = (1 << module.order) - 1
+        for s, mask in zip(self.all, self._mask):
+            if s.is_full:
+                out.append(False)
+                continue
+            colon = self.colon_elements(s)
+            members = s.elements
+            # whether r*m lands in P depends on m only through m + P,
+            # so one representative per nonzero coset suffices
+            reps = []
+            covered = mask
+            while covered != full:
+                m = els[(~covered & (covered + 1)).bit_length() - 1]
+                reps.append(m)
+                covered |= module.translate(mask, m)
+            ok = True
+            for r in module.ring.elements():
+                if r in colon:
                     continue
-                colon = self.colon_elements(s)
-                members = s.elements
-                # whether r*m lands in P depends on m only through m + P,
-                # so one representative per nonzero coset suffices
-                reps = []
-                covered = mask
-                while covered != full:
-                    m = els[(~covered & (covered + 1)).bit_length() - 1]
-                    reps.append(m)
-                    covered |= module.translate(mask, m)
-                ok = True
-                for r in module.ring.elements():
-                    if r in colon:
-                        continue
-                    if any(scale(r, m) in members for m in reps):
-                        ok = False
-                        break
-                out.append(ok)
-            self._prime = out
-        return self._prime
+                if any(scale(r, m) in members for m in reps):
+                    ok = False
+                    break
+            out.append(ok)
+        return out
 
     def _order_extremes(self, below: bool) -> list[bool]:
         # nonzero proper members with no other one strictly below (above);
@@ -714,85 +706,89 @@ class SubmoduleLattice:
         return out
 
     def _minimal_flags(self) -> list[bool]:
-        if self._minimal is None:
-            self._minimal = self._order_extremes(below=True)
-        return self._minimal
+        return self._order_extremes(below=True)
 
     def _maximal_flags(self) -> list[bool]:
-        if self._maximal is None:
-            self._maximal = self._order_extremes(below=False)
-        return self._maximal
+        return self._order_extremes(below=False)
 
     def _large_flags(self) -> list[bool]:
         # every nonzero submodule contains a minimal one, and a minimal one
         # meets S nontrivially only inside S: S is large iff it contains
         # them all (when M is simple there are none and M alone is large)
-        if self._large is None:
-            socle = 0
-            for i, flag in enumerate(self._minimal_flags()):
-                if flag:
-                    socle |= self._mask[i]
-            self._large = [not s.is_zero and self._mask[i] & socle == socle
-                           for i, s in enumerate(self.all)]
-        return self._large
+        socle = 0
+        for i, flag in enumerate(self._flags("minimal")):
+            if flag:
+                socle |= self._mask[i]
+        return [not s.is_zero and self._mask[i] & socle == socle
+                for i, s in enumerate(self.all)]
 
     def _small_flags(self) -> list[bool]:
         # every proper submodule lies in a maximal one, so S + T = M for a
         # proper T iff S escapes some maximal: S is small iff it lies in all
         # of them (when M is simple there are none and 0 alone is small)
-        if self._small is None:
-            radical = (1 << self.module.order) - 1
-            for i, flag in enumerate(self._maximal_flags()):
-                if flag:
-                    radical &= self._mask[i]
-            self._small = [not s.is_full and self._mask[i] & radical == self._mask[i]
-                           for i, s in enumerate(self.all)]
-        return self._small
+        radical = (1 << self.module.order) - 1
+        for i, flag in enumerate(self._flags("maximal")):
+            if flag:
+                radical &= self._mask[i]
+        return [not s.is_full and self._mask[i] & radical == self._mask[i]
+                for i, s in enumerate(self.all)]
+
+    def _flags(self, family: str) -> list[bool]:
+        """One flag per member for `family` (second, prime, minimal, maximal,
+        large or small), computed by `_<family>_flags` on first use."""
+        got = self._flag_lists.get(family)
+        if got is None:
+            got = self._flag_lists[family] = getattr(self, f"_{family}_flags")()
+        return got
+
+    def _members(self, family: str) -> tuple[Submodule, ...]:
+        """The members flagged in `family`, in lattice order."""
+        got = self._member_tuples.get(family)
+        if got is None:
+            got = tuple(s for s, flag in zip(self.all, self._flags(family)) if flag)
+            self._member_tuples[family] = got
+        return got
 
     def is_second(self, sub: Submodule) -> bool:
-        return self._second_flags()[self.index_of(sub)]
+        return self._flags("second")[self.index_of(sub)]
 
     def is_prime(self, sub: Submodule) -> bool:
-        return self._prime_flags()[self.index_of(sub)]
+        return self._flags("prime")[self.index_of(sub)]
 
     def is_minimal(self, sub: Submodule) -> bool:
-        return self._minimal_flags()[self.index_of(sub)]
+        return self._flags("minimal")[self.index_of(sub)]
 
     def is_maximal(self, sub: Submodule) -> bool:
-        return self._maximal_flags()[self.index_of(sub)]
+        return self._flags("maximal")[self.index_of(sub)]
 
     def is_large(self, sub: Submodule) -> bool:
-        return self._large_flags()[self.index_of(sub)]
+        return self._flags("large")[self.index_of(sub)]
 
     def is_small(self, sub: Submodule) -> bool:
-        return self._small_flags()[self.index_of(sub)]
+        return self._flags("small")[self.index_of(sub)]
 
     def flags(self, sub: Submodule) -> SubmoduleFlags:
         i = self.index_of(sub)
         return SubmoduleFlags(
-            is_prime=self._prime_flags()[i],
-            is_second=self._second_flags()[i],
-            is_minimal=self._minimal_flags()[i],
-            is_maximal=self._maximal_flags()[i],
-            is_large=self._large_flags()[i],
-            is_small=self._small_flags()[i],
+            is_prime=self._flags("prime")[i],
+            is_second=self._flags("second")[i],
+            is_minimal=self._flags("minimal")[i],
+            is_maximal=self._flags("maximal")[i],
+            is_large=self._flags("large")[i],
+            is_small=self._flags("small")[i],
         )
 
     def seconds(self) -> tuple[Submodule, ...]:
-        flags = self._second_flags()
-        return tuple(s for i, s in enumerate(self.all) if flags[i])
+        return self._members("second")
 
     def primes(self) -> tuple[Submodule, ...]:
-        flags = self._prime_flags()
-        return tuple(s for i, s in enumerate(self.all) if flags[i])
+        return self._members("prime")
 
     def minimals(self) -> tuple[Submodule, ...]:
-        flags = self._minimal_flags()
-        return tuple(s for i, s in enumerate(self.all) if flags[i])
+        return self._members("minimal")
 
     def maximals(self) -> tuple[Submodule, ...]:
-        flags = self._maximal_flags()
-        return tuple(s for i, s in enumerate(self.all) if flags[i])
+        return self._members("maximal")
 
     # -- module-level properties ---------------------------------------
 
@@ -870,11 +866,6 @@ class SubmoduleLattice:
         )
 
 
-def classify_submodule(n: Submodule, lattice: SubmoduleLattice) -> SubmoduleFlags:
-    """All classification flags for one submodule."""
-    return lattice.flags(n)
-
-
 def second_socle(n: Submodule, lattice: SubmoduleLattice) -> Submodule:
     """Sum of all second submodules contained in N; zero if none."""
     out = lattice.zero
@@ -894,9 +885,3 @@ def prime_radical(module: FiniteModule, lattice: SubmoduleLattice) -> Submodule:
         out = lattice.meet(out, p)
     return out
 
-
-def module_properties(module: FiniteModule, lattice: SubmoduleLattice) -> ModuleProperties:
-    """Module-level property record (multiplication, coreduced, ...)."""
-    if lattice.module != module:
-        raise ValueError("lattice does not belong to the given module")
-    return lattice.properties()

@@ -9,10 +9,17 @@ of failures, for statements that are known to break.
 The context object passed in (see `harness.Instance`) memoizes the
 lattice, the graphs, their metrics, and the ring-side ideals, so checks
 can share the expensive work.
+
+The D checks are the C checks read in the order-dual lattice.  A `Side`
+record carries everything the duality swaps; each mirrored pair is
+written once over a side and bound to both.  C9/D9 is the one pair that
+is not a mirror, so it is written twice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 from math import inf
 from typing import Callable, Optional
 
@@ -52,592 +59,385 @@ class CheckResult:
         return out
 
 
+@dataclass(frozen=True)
+class Side:
+    """What the order duality swaps between a C check and its D check.
+
+    The C side reads the lattice under inclusion and the D side under
+    reverse inclusion, so meet and join, 0 and M, minimal and maximal,
+    second and prime trade places.  The callables reach instance and
+    lattice members on every call, never through stored methods, so hooks
+    installed on those classes later still see the calls.  The name fields
+    spell the witness keys, which differ by more than the swapped words.
+    """
+    graph: GraphKind       # ssi | pss
+    tilde: GraphKind       # the ideal graph C14/D14 lifts completeness to
+    low: str               # the extremes just off the side's bottom
+    high: str              # the extremes just under the side's top
+    flag: str              # second | prime
+    core: str              # witness key of core_of
+    meet_name: str         # intersection | sum
+    ideals: str            # witness key of the ideal_of pair
+    spanning: str          # witness key of two lows joining to the top
+    endpoint: str          # smaller | larger: an edge's end nearer the bottom
+    lows: Callable         # inst -> minimals | maximals
+    highs: Callable        # inst -> maximals | minimals
+    flagged: Callable      # inst -> seconds | primes
+    core_of: Callable      # inst -> second socle | prime radical
+    ideal_of: Callable     # (inst, sub) -> annihilator | colon ideal
+    meet: Callable         # (lat, a, b) -> meet in the side's order
+    join: Callable         # (lat, a, b) -> join in the side's order
+    below: Callable        # (a, b) -> a strictly below b in the side's order
+    is_bottom: Callable    # sub -> 0 | M
+    is_top: Callable       # sub -> M | 0
+    plain: Callable        # props -> coreduced | reduced
+    transfers: Callable    # props -> the C7/D7 premise
+    simple_shape: Callable  # props -> uniform | hollow
+    lifts: Callable        # props -> the C14/D14 premise
+
+    def metrics(self, inst):
+        return inst.metrics(self.graph)
+
+
+SSI_SIDE = Side(
+    graph=GraphKind.SSI, tilde=GraphKind.PSS_TILDE,
+    low="minimal", high="maximal", flag="second", core="second_socle",
+    meet_name="intersection", ideals="annihilators",
+    spanning="minimal_pair_spanning", endpoint="smaller",
+    lows=lambda inst: inst.minimals, highs=lambda inst: inst.maximals,
+    flagged=lambda inst: inst.seconds, core_of=lambda inst: inst.sec_socle,
+    ideal_of=lambda inst, sub: inst.ann_ideal(sub),
+    meet=lambda lat, a, b: lat.meet(a, b), join=lambda lat, a, b: lat.join(a, b),
+    below=lambda a, b: a.elements < b.elements,
+    is_bottom=lambda sub: sub.is_zero, is_top=lambda sub: sub.is_full,
+    plain=lambda props: props.coreduced,
+    transfers=lambda props: props.comultiplication,
+    simple_shape=lambda props: props.uniform,
+    lifts=lambda props: props.strong_comultiplication,
+)
+
+PSS_SIDE = Side(
+    graph=GraphKind.PSS, tilde=GraphKind.SSI_TILDE,
+    low="maximal", high="minimal", flag="prime", core="prime_radical",
+    meet_name="sum", ideals="colon_ideals",
+    spanning="maximal_pair_meeting_in_zero", endpoint="larger",
+    lows=lambda inst: inst.maximals, highs=lambda inst: inst.minimals,
+    flagged=lambda inst: inst.primes, core_of=lambda inst: inst.radical,
+    ideal_of=lambda inst, sub: inst.colon_of(sub),
+    meet=lambda lat, a, b: lat.join(a, b), join=lambda lat, a, b: lat.meet(a, b),
+    below=lambda a, b: b.elements < a.elements,
+    is_bottom=lambda sub: sub.is_full, is_top=lambda sub: sub.is_zero,
+    plain=lambda props: props.reduced,
+    transfers=lambda props: props.multiplication,
+    simple_shape=lambda props: props.hollow,
+    lifts=lambda props: props.faithful and props.multiplication,
+)
+
+
 def _labels(subs) -> list:
     return [s.label() for s in subs]
-
-
-def _ssi_m(inst):
-    return inst.metrics(GraphKind.SSI)
-
-
-def _pss_m(inst):
-    return inst.metrics(GraphKind.PSS)
 
 
 def _comparable(a, b) -> bool:
     return a.elements <= b.elements or b.elements <= a.elements
 
 
-# A universal vertex in the intersection graph comes from one of two
-# lattice shapes: a unique minimal submodule, or exactly two whose sum V
-# is maximal while everything strictly under V is second.  The
-# equivalence is only claimed when there are at most two minimals; with
-# three or more, the sum of two minimals can itself be second and
-# universal without either shape holding.
-def _few_minimals_condition(inst):
-    mins = inst.minimals
-    if len(mins) == 1:
-        return "unique-minimal"
-    if len(mins) == 2:
-        lat = inst.lattice
-        v = lat.join(mins[0], mins[1])
-        if lat.is_maximal(v) and all(
-                lat.is_second(x) for x in lat.all
-                if not x.is_zero and x.elements < v.elements):
-            return "two-minimals-second-interval"
-    return None
+def _always(side, inst):
+    return True
 
 
-def _few_maximals_condition(inst):
-    maxs = inst.maximals
-    if len(maxs) == 1:
-        return "unique-maximal"
-    if len(maxs) == 2:
+def _has_vertices(side, inst):
+    return side.metrics(inst).vertex_count >= 1
+
+
+# A universal vertex in the side's graph comes from one of two lattice
+# shapes: a unique low submodule, or exactly two whose side-join V is high
+# while everything strictly between the bottom and V is flagged.  On the
+# C side: a unique minimal, or two minimals whose sum V is maximal with
+# every nonzero submodule under V second.  The equivalence is only claimed
+# with at most two lows; with three or more, the join of two of them can
+# itself be flagged and universal without either shape holding.
+def _few_lows_condition(side, inst):
+    lows = side.lows(inst)
+    if len(lows) == 1:
+        return f"unique-{side.low}"
+    if len(lows) == 2:
         lat = inst.lattice
-        w = lat.meet(maxs[0], maxs[1])
-        if lat.is_minimal(w) and all(
-                lat.is_prime(x) for x in lat.all
-                if not x.is_full and w.elements < x.elements):
-            return "two-maximals-prime-interval"
+        v = side.join(lat, lows[0], lows[1])
+        flagged = set(side.flagged(inst))
+        if v in side.highs(inst) and all(
+                x in flagged for x in lat.all
+                if not side.is_bottom(x) and side.below(x, v)):
+            return f"two-{side.low}s-{side.flag}-interval"
     return None
 
 
 # ---------------------------------------------------------------- C1/D1
 
-def _c1_applies(inst):
-    return len(inst.minimals) <= 2
+def _applies_1(side, inst):
+    return len(side.lows(inst)) <= 2
 
 
-def _c1_claim(inst):
-    cond = _few_minimals_condition(inst)
-    m = _ssi_m(inst)
-    has_universal = len(m.universal_vertices) > 0
-    if has_universal == (cond is not None):
+def _claim_1(side, inst):
+    cond = _few_lows_condition(side, inst)
+    m = side.metrics(inst)
+    if (len(m.universal_vertices) > 0) == (cond is not None):
         return True, None
-    g = inst.graph(GraphKind.SSI)
+    g = inst.graph(side.graph)
     return False, {
         "universal_vertices": [g.vertices[i].label for i in m.universal_vertices],
-        "minimals": _labels(inst.minimals),
-        "condition": cond,
-    }
-
-
-def _d1_applies(inst):
-    return len(inst.maximals) <= 2
-
-
-def _d1_claim(inst):
-    cond = _few_maximals_condition(inst)
-    m = _pss_m(inst)
-    has_universal = len(m.universal_vertices) > 0
-    if has_universal == (cond is not None):
-        return True, None
-    g = inst.graph(GraphKind.PSS)
-    return False, {
-        "universal_vertices": [g.vertices[i].label for i in m.universal_vertices],
-        "maximals": _labels(inst.maximals),
+        f"{side.low}s": _labels(side.lows(inst)),
         "condition": cond,
     }
 
 
 # ---------------------------------------------------------------- C2/D2
 
-def _c2_applies(inst):
-    return not inst.props.coreduced
+def _applies_2(side, inst):
+    return not side.plain(inst.props)
 
 
-def _c2_claim(inst):
-    soc = inst.sec_socle
-    if soc.is_zero or soc.is_full:
-        return False, {"second_socle": soc.label(), "reason": "not a vertex"}
-    g = inst.graph(GraphKind.SSI)
-    vi = g.vertex_for(soc).index
-    missed = [s.label() for s in inst.seconds
-              if s != soc and not g.adjacent(vi, g.vertex_for(s).index)]
+def _claim_2(side, inst):
+    core = side.core_of(inst)
+    if core.is_zero or core.is_full:
+        return False, {side.core: core.label(), "reason": "not a vertex"}
+    g = inst.graph(side.graph)
+    vi = g.vertex_for(core).index
+    missed = [s.label() for s in side.flagged(inst)
+              if s != core and not g.adjacent(vi, g.vertex_for(s).index)]
     if missed:
-        return False, {"second_socle": soc.label(), "non_neighbors": missed}
-    return True, None
-
-
-def _d2_applies(inst):
-    return not inst.props.reduced
-
-
-def _d2_claim(inst):
-    rad = inst.radical
-    if rad.is_zero or rad.is_full:
-        return False, {"prime_radical": rad.label(), "reason": "not a vertex"}
-    g = inst.graph(GraphKind.PSS)
-    vi = g.vertex_for(rad).index
-    missed = [p.label() for p in inst.primes
-              if p != rad and not g.adjacent(vi, g.vertex_for(p).index)]
-    if missed:
-        return False, {"prime_radical": rad.label(), "non_neighbors": missed}
+        return False, {side.core: core.label(), "non_neighbors": missed}
     return True, None
 
 
 # ---------------------------------------------------------------- C3/D3
 
-def _c3_applies(inst):
-    return not inst.props.coreduced and tuple(inst.minimals) == (inst.sec_socle,)
+def _applies_3(side, inst):
+    return (not side.plain(inst.props)
+            and tuple(side.lows(inst)) == (side.core_of(inst),))
 
 
-def _c3_claim(inst):
-    m = _ssi_m(inst)
-    g = inst.graph(GraphKind.SSI)
-    vi = g.vertex_for(inst.sec_socle).index
+def _claim_3(side, inst):
+    m = side.metrics(inst)
+    g = inst.graph(side.graph)
+    core = side.core_of(inst)
+    vi = g.vertex_for(core).index
     if vi in m.universal_vertices:
         return True, None
-    return False, {"second_socle": inst.sec_socle.label(),
-                   "degree": g.degree(vi), "vertex_count": m.vertex_count}
-
-
-def _d3_applies(inst):
-    return not inst.props.reduced and tuple(inst.maximals) == (inst.radical,)
-
-
-def _d3_claim(inst):
-    m = _pss_m(inst)
-    g = inst.graph(GraphKind.PSS)
-    vi = g.vertex_for(inst.radical).index
-    if vi in m.universal_vertices:
-        return True, None
-    return False, {"prime_radical": inst.radical.label(),
+    return False, {side.core: core.label(),
                    "degree": g.degree(vi), "vertex_count": m.vertex_count}
 
 
 # ---------------------------------------------------------------- C4/D4
 
-def _c4_applies(inst):
-    return _ssi_m(inst).vertex_count >= 1
-
-
-def _c4_claim(inst):
-    g = inst.graph(GraphKind.SSI)
-    lat = inst.lattice
+def _claim_4(side, inst):
+    g = inst.graph(side.graph)
+    lows, highs = set(side.lows(inst)), set(side.highs(inst))
     for v in g.vertices:
         isolated = g.degree(v.index) == 0
-        both = lat.is_minimal(v.submodule) and lat.is_maximal(v.submodule)
+        both = v.submodule in lows and v.submodule in highs
         if isolated != both:
             return False, {"vertex": v.label, "isolated": isolated,
-                           "minimal_and_maximal": both}
-    return True, None
-
-
-def _d4_applies(inst):
-    return _pss_m(inst).vertex_count >= 1
-
-
-def _d4_claim(inst):
-    g = inst.graph(GraphKind.PSS)
-    lat = inst.lattice
-    for v in g.vertices:
-        isolated = g.degree(v.index) == 0
-        both = lat.is_maximal(v.submodule) and lat.is_minimal(v.submodule)
-        if isolated != both:
-            return False, {"vertex": v.label, "isolated": isolated,
-                           "maximal_and_minimal": both}
+                           f"{side.low}_and_{side.high}": both}
     return True, None
 
 
 # ---------------------------------------------------------------- C5/D5
 
-def _c5_applies(inst):
-    m = _ssi_m(inst)
+def _applies_5(side, inst):
+    m = side.metrics(inst)
     return m.vertex_count >= 1 and m.is_complete
 
 
-def _c5_claim(inst):
-    lat = inst.lattice
-    if len(inst.minimals) != 1:
-        return False, {"minimals": _labels(inst.minimals)}
-    stray = [s.label() for s in lat.proper_nonzero()
-             if not lat.is_second(s) and not lat.is_maximal(s)]
+def _claim_5(side, inst):
+    lows = side.lows(inst)
+    if len(lows) != 1:
+        return False, {f"{side.low}s": _labels(lows)}
+    flagged, highs = set(side.flagged(inst)), set(side.highs(inst))
+    stray = [s.label() for s in inst.lattice.proper_nonzero()
+             if s not in flagged and s not in highs]
     if stray:
-        return False, {"neither_second_nor_maximal": stray}
-    return True, None
-
-
-def _d5_applies(inst):
-    m = _pss_m(inst)
-    return m.vertex_count >= 1 and m.is_complete
-
-
-def _d5_claim(inst):
-    lat = inst.lattice
-    if len(inst.maximals) != 1:
-        return False, {"maximals": _labels(inst.maximals)}
-    stray = [s.label() for s in lat.proper_nonzero()
-             if not lat.is_prime(s) and not lat.is_minimal(s)]
-    if stray:
-        return False, {"neither_prime_nor_minimal": stray}
+        return False, {f"neither_{side.flag}_nor_{side.high}": stray}
     return True, None
 
 
 # ---------------------------------------------------------------- C6/D6
 
-def _c6_applies(inst):
-    return len(inst.minimals) == 1
+def _applies_6(side, inst):
+    return len(side.lows(inst)) == 1
 
 
-def _c6_claim(inst):
-    g = inst.graph(GraphKind.SSI)
+def _claim_6(side, inst):
+    g = inst.graph(side.graph)
     lat = inst.lattice
     vs = lat.proper_nonzero()
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if not g.adjacent(i, j):
-                meet = lat.meet(vs[i], vs[j])
-                return False, {
-                    "pair": [vs[i].label(), vs[j].label()],
-                    "intersection": meet.label(),
-                    "intersection_second": lat.is_second(meet),
-                }
-    return True, None
-
-
-def _d6_applies(inst):
-    return len(inst.maximals) == 1
-
-
-def _d6_claim(inst):
-    g = inst.graph(GraphKind.PSS)
-    lat = inst.lattice
-    vs = lat.proper_nonzero()
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if not g.adjacent(i, j):
-                join = lat.join(vs[i], vs[j])
-                return False, {
-                    "pair": [vs[i].label(), vs[j].label()],
-                    "sum": join.label(),
-                    "sum_prime": lat.is_prime(join),
-                }
+    for i, j in combinations(range(len(vs)), 2):
+        if not g.adjacent(i, j):
+            meet = side.meet(lat, vs[i], vs[j])
+            return False, {
+                "pair": [vs[i].label(), vs[j].label()],
+                side.meet_name: meet.label(),
+                f"{side.meet_name}_{side.flag}": meet in side.flagged(inst),
+            }
     return True, None
 
 
 # ---------------------------------------------------------------- C7/D7
 
-def _c7_applies(inst):
-    return inst.props.comultiplication
+def _applies_7(side, inst):
+    return side.transfers(inst.props)
 
 
-def _c7_claim(inst):
+def _claim_7(side, inst):
     lat, rlat = inst.lattice, inst.ring_lattice
-    ssi = inst.graph(GraphKind.SSI)
+    g = inst.graph(side.graph)
     pis = inst.graph(GraphKind.PIS)
     vs = lat.proper_nonzero()
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            n, k = vs[i], vs[j]
-            a, b = inst.ann_ideal(n), inst.ann_ideal(k)
-            if a.is_zero or b.is_zero or a == b:
-                continue
-            if inst.ann_ideal(lat.meet(n, k)) != rlat.join(a, b):
-                continue
-            lhs = ssi.adjacent(i, j)
-            rhs = pis.adjacent(pis.vertex_for(a).index, pis.vertex_for(b).index)
-            if lhs != rhs:
-                return False, {
-                    "pair": [n.label(), k.label()],
-                    "annihilators": [a.label("R"), b.label("R")],
-                    "intersection_second": lhs,
-                    "ideal_sum_prime": rhs,
-                }
-    return True, None
-
-
-def _d7_applies(inst):
-    return inst.props.multiplication
-
-
-def _d7_claim(inst):
-    lat, rlat = inst.lattice, inst.ring_lattice
-    pss = inst.graph(GraphKind.PSS)
-    pis = inst.graph(GraphKind.PIS)
-    vs = lat.proper_nonzero()
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            n, k = vs[i], vs[j]
-            a, b = inst.colon_of(n), inst.colon_of(k)
-            if a.is_zero or b.is_zero or a == b:
-                continue
-            if inst.colon_of(lat.join(n, k)) != rlat.join(a, b):
-                continue
-            lhs = pss.adjacent(i, j)
-            rhs = pis.adjacent(pis.vertex_for(a).index, pis.vertex_for(b).index)
-            if lhs != rhs:
-                return False, {
-                    "pair": [n.label(), k.label()],
-                    "colon_ideals": [a.label("R"), b.label("R")],
-                    "sum_prime": lhs,
-                    "ideal_sum_prime": rhs,
-                }
+    for i, j in combinations(range(len(vs)), 2):
+        n, k = vs[i], vs[j]
+        a, b = side.ideal_of(inst, n), side.ideal_of(inst, k)
+        if a.is_zero or b.is_zero or a == b:
+            continue
+        if side.ideal_of(inst, side.meet(lat, n, k)) != rlat.join(a, b):
+            continue
+        lhs = g.adjacent(i, j)
+        rhs = pis.adjacent(pis.vertex_for(a).index, pis.vertex_for(b).index)
+        if lhs != rhs:
+            return False, {
+                "pair": [n.label(), k.label()],
+                side.ideals: [a.label("R"), b.label("R")],
+                f"{side.meet_name}_{side.flag}": lhs,
+                "ideal_sum_prime": rhs,
+            }
     return True, None
 
 
 # ---------------------------------------------------------------- C8/D8
 
-def _always(inst):
-    return True
-
-
-def _c8_claim(inst):
-    m = _ssi_m(inst)
+def _claim_8(side, inst):
+    m = side.metrics(inst)
     lat = inst.lattice
-    mins = inst.minimals
-    spanning = None
-    for i in range(len(mins)):
-        for j in range(i + 1, len(mins)):
-            if lat.join(mins[i], mins[j]).is_full:
-                spanning = [mins[i].label(), mins[j].label()]
-                break
-        if spanning:
-            break
-    ok = m.is_connected == (spanning is None)
-    if ok and m.is_connected and m.diameter > 2:
-        ok = False
-    if ok:
+    spanning = next(([a.label(), b.label()]
+                     for a, b in combinations(side.lows(inst), 2)
+                     if side.is_top(side.join(lat, a, b))), None)
+    if m.is_connected == (spanning is None) and not (
+            m.is_connected and m.diameter > 2):
         return True, None
     return False, {"connected": m.is_connected,
-                   "minimal_pair_spanning": spanning,
-                   "diameter": None if m.diameter == inf else m.diameter}
-
-
-def _d8_claim(inst):
-    m = _pss_m(inst)
-    lat = inst.lattice
-    maxs = inst.maximals
-    disjoint = None
-    for i in range(len(maxs)):
-        for j in range(i + 1, len(maxs)):
-            if lat.meet(maxs[i], maxs[j]).is_zero:
-                disjoint = [maxs[i].label(), maxs[j].label()]
-                break
-        if disjoint:
-            break
-    ok = m.is_connected == (disjoint is None)
-    if ok and m.is_connected and m.diameter > 2:
-        ok = False
-    if ok:
-        return True, None
-    return False, {"connected": m.is_connected,
-                   "maximal_pair_meeting_in_zero": disjoint,
+                   side.spanning: spanning,
                    "diameter": None if m.diameter == inf else m.diameter}
 
 
 # ---------------------------------------------------------------- C9/D9
 
 def _c9_applies(inst):
-    return _ssi_m(inst).is_connected and len(inst.maximals) >= 2
+    return inst.metrics(GraphKind.SSI).is_connected and len(inst.maximals) >= 2
 
 
 def _c9_claim(inst):
     lat = inst.lattice
-    maxs = inst.maximals
-    for i in range(len(maxs)):
-        for j in range(i + 1, len(maxs)):
-            if lat.meet(maxs[i], maxs[j]).is_zero:
-                return False, {"pair": [maxs[i].label(), maxs[j].label()]}
+    for a, b in combinations(inst.maximals, 2):
+        if lat.meet(a, b).is_zero:
+            return False, {"pair": [a.label(), b.label()]}
     return True, None
 
 
 def _d9_applies(inst):
-    return _pss_m(inst).is_connected
+    return inst.metrics(GraphKind.PSS).is_connected
 
 
 def _d9_claim(inst):
     lat = inst.lattice
-    mins = inst.minimals
-    spans = []
-    total = 0
-    for i in range(len(mins)):
-        for j in range(i + 1, len(mins)):
-            total += 1
-            if lat.join(mins[i], mins[j]).is_full:
-                spans.append(1)
-            else:
-                spans.append(0)
-    literal = all(spans) if spans else True
-    negated = not any(spans)
-    witness = {"minimal_pairs": total,
+    spans = [lat.join(a, b).is_full for a, b in combinations(inst.minimals, 2)]
+    literal = all(spans)
+    witness = {"minimal_pairs": len(spans),
                "every_pair_spans": literal,
-               "no_pair_spans": negated}
+               "no_pair_spans": not any(spans)}
     return literal, witness
 
 
 # -------------------------------------------------------------- C10/D10
 
-def _c10_applies(inst):
-    return _ssi_m(inst).edge_count >= 1
+def _applies_10(side, inst):
+    return side.metrics(inst).edge_count >= 1
 
 
-def _c10_claim(inst):
-    g = inst.graph(GraphKind.SSI)
-    lat = inst.lattice
-    m = _ssi_m(inst)
-    vs = lat.proper_nonzero()
-    noncomparable = None
-    for i, j in g.edges():
-        if not _comparable(vs[i], vs[j]):
-            noncomparable = [vs[i].label(), vs[j].label()]
-            break
+def _claim_10(side, inst):
+    g = inst.graph(side.graph)
+    m = side.metrics(inst)
+    vs = inst.lattice.proper_nonzero()
+    noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in g.edges()
+                          if not _comparable(vs[i], vs[j])), None)
     if noncomparable is not None and m.girth != 3:
         return False, {"noncomparable_edge": noncomparable,
                        "girth": None if m.girth == inf else m.girth}
     if m.girth > 3:
+        # every edge is comparable here; its end nearer the bottom is checked
+        flagged = set(side.flagged(inst))
         for i, j in g.edges():
-            small = vs[i] if vs[i].elements <= vs[j].elements else vs[j]
-            if not lat.is_second(small):
+            end = vs[i] if side.below(vs[i], vs[j]) else vs[j]
+            if end not in flagged:
                 return False, {"edge": [vs[i].label(), vs[j].label()],
-                               "smaller_endpoint": small.label(),
-                               "smaller_endpoint_second": False}
-    return True, None
-
-
-def _d10_applies(inst):
-    return _pss_m(inst).edge_count >= 1
-
-
-def _d10_claim(inst):
-    g = inst.graph(GraphKind.PSS)
-    lat = inst.lattice
-    m = _pss_m(inst)
-    vs = lat.proper_nonzero()
-    noncomparable = None
-    for i, j in g.edges():
-        if not _comparable(vs[i], vs[j]):
-            noncomparable = [vs[i].label(), vs[j].label()]
-            break
-    if noncomparable is not None and m.girth != 3:
-        return False, {"noncomparable_edge": noncomparable,
-                       "girth": None if m.girth == inf else m.girth}
-    if m.girth > 3:
-        for i, j in g.edges():
-            large = vs[j] if vs[i].elements <= vs[j].elements else vs[i]
-            if not lat.is_prime(large):
-                return False, {"edge": [vs[i].label(), vs[j].label()],
-                               "larger_endpoint": large.label(),
-                               "larger_endpoint_prime": False}
+                               f"{side.endpoint}_endpoint": end.label(),
+                               f"{side.endpoint}_endpoint_{side.flag}": False}
     return True, None
 
 
 # -------------------------------------------------------------- C11/D11
 
-def _c11_applies(inst):
-    return _ssi_m(inst).girth != inf
+def _applies_11(side, inst):
+    return side.metrics(inst).girth != inf
 
 
-def _c11_claim(inst):
-    girth = _ssi_m(inst).girth
-    count = len(inst.seconds)
+def _claim_11(side, inst):
+    girth = side.metrics(inst).girth
+    count = len(side.flagged(inst))
     if count >= girth // 2:
         return True, None
-    return False, {"girth": girth, "second_count": count}
-
-
-def _d11_applies(inst):
-    return _pss_m(inst).girth != inf
-
-
-def _d11_claim(inst):
-    girth = _pss_m(inst).girth
-    count = len(inst.primes)
-    if count >= girth // 2:
-        return True, None
-    return False, {"girth": girth, "prime_count": count}
+    return False, {"girth": girth, f"{side.flag}_count": count}
 
 
 # -------------------------------------------------------------- C12/D12
 
-def _c12_applies(inst):
-    return _ssi_m(inst).vertex_count >= 1
-
-
-def _c12_claim(inst):
-    girth = _ssi_m(inst).girth
-    count = len(inst.seconds)
+def _claim_12(side, inst):
+    girth = side.metrics(inst).girth
+    count = len(side.flagged(inst))
     if girth == inf or girth <= 2 * count:
         return True, None
-    return False, {"girth": girth, "second_count": count}
-
-
-def _d12_applies(inst):
-    return _pss_m(inst).vertex_count >= 1
-
-
-def _d12_claim(inst):
-    girth = _pss_m(inst).girth
-    count = len(inst.primes)
-    if girth == inf or girth <= 2 * count:
-        return True, None
-    return False, {"girth": girth, "prime_count": count}
+    return False, {"girth": girth, f"{side.flag}_count": count}
 
 
 # -------------------------------------------------------------- C13/D13
 
-def _c13_applies(inst):
-    if not inst.props.uniform:
-        return False
-    lat = inst.lattice
-    if not all(lat.is_second(s) for s in lat.all if not s.is_zero):
-        return False
-    return _ssi_m(inst).vertex_count >= 2
-
-
-def _c13_claim(inst):
-    m = _ssi_m(inst)
+def _complete(m):
     if m.is_complete:
         return True, None
     return False, {"vertex_count": m.vertex_count, "edge_count": m.edge_count}
 
 
-def _d13_applies(inst):
-    if not inst.props.hollow:
-        return False
-    lat = inst.lattice
-    if not all(lat.is_prime(s) for s in lat.all if not s.is_full):
-        return False
-    return _pss_m(inst).vertex_count >= 2
+def _applies_13(side, inst):
+    # the bottom is never flagged, so every other member is when the
+    # flagged ones number all but one
+    return (side.simple_shape(inst.props)
+            and len(side.flagged(inst)) == len(inst.lattice) - 1
+            and side.metrics(inst).vertex_count >= 2)
 
 
-def _d13_claim(inst):
-    m = _pss_m(inst)
-    if m.is_complete:
-        return True, None
-    return False, {"vertex_count": m.vertex_count, "edge_count": m.edge_count}
+def _claim_13(side, inst):
+    return _complete(side.metrics(inst))
 
 
 # -------------------------------------------------------------- C14/D14
 
-def _c14_applies(inst):
-    return inst.props.strong_comultiplication and _ssi_m(inst).is_complete
+def _applies_14(side, inst):
+    return side.lifts(inst.props) and side.metrics(inst).is_complete
 
 
-def _c14_claim(inst):
-    m = inst.metrics(GraphKind.PSS_TILDE)
-    if m.is_complete:
-        return True, None
-    return False, {"vertex_count": m.vertex_count, "edge_count": m.edge_count}
-
-
-def _d14_applies(inst):
-    return (inst.props.faithful and inst.props.multiplication
-            and _pss_m(inst).is_complete)
-
-
-def _d14_claim(inst):
-    m = inst.metrics(GraphKind.SSI_TILDE)
-    if m.is_complete:
-        return True, None
-    return False, {"vertex_count": m.vertex_count, "edge_count": m.edge_count}
+def _claim_14(side, inst):
+    return _complete(inst.metrics(side.tilde))
 
 
 # -------------------------------------------------------------- C15/D15
-
-def _c15_applies(inst):
-    return _ssi_m(inst).vertex_count >= 1
-
 
 def _dominates(g, picked) -> bool:
     covered = set()
@@ -647,180 +447,157 @@ def _dominates(g, picked) -> bool:
     return len(covered) == g.vertex_count
 
 
-def _c15_claim(inst):
-    g = inst.graph(GraphKind.SSI)
-    m = _ssi_m(inst)
-    mins = inst.minimals
-    picked = {g.vertex_for(s).index for s in mins}
+def _claim_15(side, inst):
+    g = inst.graph(side.graph)
+    m = side.metrics(inst)
+    lows = side.lows(inst)
+    count = f"{side.low}_count"
+    picked = {g.vertex_for(s).index for s in lows}
     if not _dominates(g, picked):
-        return False, {"minimals": _labels(mins), "reason": "do not dominate"}
+        return False, {f"{side.low}s": _labels(lows), "reason": "do not dominate"}
     for drop in sorted(picked):
         if _dominates(g, picked - {drop}):
             return False, {"redundant_member": g.vertices[drop].label}
-    if m.domination_number > len(mins):
-        return False, {"domination_number": m.domination_number,
-                       "minimal_count": len(mins)}
-    if len(mins) <= 2:
-        cond = _few_minimals_condition(inst)
+    if m.domination_number > len(lows):
+        return False, {"domination_number": m.domination_number, count: len(lows)}
+    if len(lows) <= 2:
+        cond = _few_lows_condition(side, inst)
         if (m.domination_number == 1) != (cond is not None):
             return False, {"domination_number": m.domination_number,
                            "condition": cond}
-        if len(mins) == 2 and cond is None and m.domination_number != 2:
-            return False, {"domination_number": m.domination_number,
-                           "minimal_count": 2}
+        if len(lows) == 2 and cond is None and m.domination_number != 2:
+            return False, {"domination_number": m.domination_number, count: 2}
     return True, None
 
 
-def _d15_applies(inst):
-    return _pss_m(inst).vertex_count >= 1
-
-
-def _d15_claim(inst):
-    g = inst.graph(GraphKind.PSS)
-    m = _pss_m(inst)
-    maxs = inst.maximals
-    picked = {g.vertex_for(s).index for s in maxs}
-    if not _dominates(g, picked):
-        return False, {"maximals": _labels(maxs), "reason": "do not dominate"}
-    for drop in sorted(picked):
-        if _dominates(g, picked - {drop}):
-            return False, {"redundant_member": g.vertices[drop].label}
-    if m.domination_number > len(maxs):
-        return False, {"domination_number": m.domination_number,
-                       "maximal_count": len(maxs)}
-    if len(maxs) <= 2:
-        cond = _few_maximals_condition(inst)
-        if (m.domination_number == 1) != (cond is not None):
-            return False, {"domination_number": m.domination_number,
-                           "condition": cond}
-        if len(maxs) == 2 and cond is None and m.domination_number != 2:
-            return False, {"domination_number": m.domination_number,
-                           "maximal_count": 2}
-    return True, None
+def _sided(cid, name, mode, applies, claim, notes):
+    """A C check bound to the SSI side, or a D check to the PSS side."""
+    side = SSI_SIDE if cid.startswith("C") else PSS_SIDE
+    return Check(cid, name, mode, partial(applies, side), partial(claim, side), notes)
 
 
 CHECKS: tuple[Check, ...] = (
-    Check("C1", "ssi-universal-vertex-from-few-minimals", STRICT,
-          _c1_applies, _c1_claim,
-          "with at most two minimal submodules, a universal vertex exists "
-          "exactly when the unique-minimal or paired-minimal shape holds"),
-    Check("C2", "ssi-second-socle-neighbors-all-seconds", STRICT,
-          _c2_applies, _c2_claim,
-          "when some d*M collapses under squaring, the sum of all second "
-          "submodules is a vertex adjacent to every other second"),
-    Check("C3", "ssi-minimal-second-socle-is-universal", STRICT,
-          _c3_applies, _c3_claim,
-          "if the second socle is the unique minimal submodule it is "
-          "universal; the converse is false (e.g. Z12), so only this "
-          "direction is claimed"),
-    Check("C4", "ssi-isolated-iff-minimal-and-maximal", STRICT,
-          _c4_applies, _c4_claim,
-          "a vertex is isolated exactly when it is both minimal and maximal"),
-    Check("C5", "ssi-complete-forces-unique-minimal", STRICT,
-          _c5_applies, _c5_claim,
-          "a complete intersection graph forces one minimal submodule and "
-          "makes every non-second vertex maximal"),
-    Check("C6", "ssi-unique-minimal-completeness", REPORT,
-          _c6_applies, _c6_claim,
-          "one minimal submodule does not force completeness: Z16 has the "
-          "non-adjacent pair (2M, 4M); recorded as a finding"),
-    Check("C7", "ssi-matches-ideal-graph-for-comultiplication", STRICT,
-          _c7_applies, _c7_claim,
-          "for comultiplication modules, adjacency transfers to the "
-          "annihilator ideals whenever those are nonzero, distinct, and "
-          "the annihilator of the intersection is their sum"),
-    Check("C8", "ssi-connectivity-and-diameter", STRICT,
-          _always, _c8_claim,
-          "connected exactly when no two minimals sum to M, and then the "
-          "diameter is at most 2"),
+    _sided("C1", "ssi-universal-vertex-from-few-minimals", STRICT,
+           _applies_1, _claim_1,
+           "with at most two minimal submodules, a universal vertex exists "
+           "exactly when the unique-minimal or paired-minimal shape holds"),
+    _sided("C2", "ssi-second-socle-neighbors-all-seconds", STRICT,
+           _applies_2, _claim_2,
+           "when some d*M collapses under squaring, the sum of all second "
+           "submodules is a vertex adjacent to every other second"),
+    _sided("C3", "ssi-minimal-second-socle-is-universal", STRICT,
+           _applies_3, _claim_3,
+           "if the second socle is the unique minimal submodule it is "
+           "universal; the converse is false (e.g. Z12), so only this "
+           "direction is claimed"),
+    _sided("C4", "ssi-isolated-iff-minimal-and-maximal", STRICT,
+           _has_vertices, _claim_4,
+           "a vertex is isolated exactly when it is both minimal and maximal"),
+    _sided("C5", "ssi-complete-forces-unique-minimal", STRICT,
+           _applies_5, _claim_5,
+           "a complete intersection graph forces one minimal submodule and "
+           "makes every non-second vertex maximal"),
+    _sided("C6", "ssi-unique-minimal-completeness", REPORT,
+           _applies_6, _claim_6,
+           "one minimal submodule does not force completeness: Z16 has the "
+           "non-adjacent pair (2M, 4M); recorded as a finding"),
+    _sided("C7", "ssi-matches-ideal-graph-for-comultiplication", STRICT,
+           _applies_7, _claim_7,
+           "for comultiplication modules, adjacency transfers to the "
+           "annihilator ideals whenever those are nonzero, distinct, and "
+           "the annihilator of the intersection is their sum"),
+    _sided("C8", "ssi-connectivity-and-diameter", STRICT,
+           _always, _claim_8,
+           "connected exactly when no two minimals sum to M, and then the "
+           "diameter is at most 2"),
     Check("C9", "ssi-connected-maximals-intersect", STRICT,
           _c9_applies, _c9_claim,
           "in a connected graph any two maximal submodules intersect "
           "beyond zero"),
-    Check("C10", "ssi-girth-three-or-comparable-edges", STRICT,
-          _c10_applies, _c10_claim,
-          "one non-comparable edge forces a triangle; otherwise every edge "
-          "is a chain step whose lower end is second"),
-    Check("C11", "ssi-seconds-at-least-half-girth", STRICT,
-          _c11_applies, _c11_claim,
-          "a finite girth needs at least girth/2 second submodules"),
-    Check("C12", "ssi-girth-at-most-twice-seconds", STRICT,
-          _c12_applies, _c12_claim,
-          "the girth is infinite or bounded by twice the number of seconds"),
-    Check("C13", "ssi-uniform-all-second-complete", STRICT,
-          _c13_applies, _c13_claim,
-          "uniform modules all of whose nonzero submodules are second have "
-          "complete graphs; no instance in the bundled families qualifies"),
-    Check("C14", "ssi-complete-lifts-to-colon-ideal-graph", STRICT,
-          _c14_applies, _c14_claim,
-          "for strong comultiplication modules a complete intersection "
-          "graph forces a complete colon-ideal graph"),
-    Check("C15", "ssi-minimals-dominate", STRICT,
-          _c15_applies, _c15_claim,
-          "the minimal submodules are an irredundant dominating set and "
-          "bound the domination number; with at most two of them the "
-          "domination number is 1 exactly under the universal-vertex shape"),
-    Check("D1", "pss-universal-vertex-from-few-maximals", STRICT,
-          _d1_applies, _d1_claim,
-          "with at most two maximal submodules, a universal vertex exists "
-          "exactly when the unique-maximal or paired-maximal shape holds"),
-    Check("D2", "pss-radical-neighbors-all-primes", STRICT,
-          _d2_applies, _d2_claim,
-          "when some r*x dies against r*M, the intersection of all primes "
-          "is a vertex adjacent to every other prime"),
-    Check("D3", "pss-maximal-radical-is-universal", STRICT,
-          _d3_applies, _d3_claim,
-          "if the prime radical is the unique maximal submodule it is "
-          "universal; the converse is false (e.g. Z12), so only this "
-          "direction is claimed"),
-    Check("D4", "pss-isolated-iff-maximal-and-minimal", STRICT,
-          _d4_applies, _d4_claim,
-          "a vertex is isolated exactly when it is both maximal and minimal"),
-    Check("D5", "pss-complete-forces-unique-maximal", STRICT,
-          _d5_applies, _d5_claim,
-          "a complete sum graph forces one maximal submodule and makes "
-          "every non-prime vertex minimal"),
-    Check("D6", "pss-unique-maximal-completeness", REPORT,
-          _d6_applies, _d6_claim,
-          "one maximal submodule does not force completeness: Z16 has the "
-          "non-adjacent pair (4M, 8M); recorded as a finding"),
-    Check("D7", "pss-matches-ideal-graph-for-multiplication", STRICT,
-          _d7_applies, _d7_claim,
-          "for multiplication modules, adjacency transfers to the colon "
-          "ideals whenever those are nonzero, distinct, and the colon of "
-          "the sum is their sum"),
-    Check("D8", "pss-connectivity-and-diameter", STRICT,
-          _always, _d8_claim,
-          "connected exactly when no two maximals meet in zero, and then "
-          "the diameter is at most 2"),
+    _sided("C10", "ssi-girth-three-or-comparable-edges", STRICT,
+           _applies_10, _claim_10,
+           "one non-comparable edge forces a triangle; otherwise every edge "
+           "is a chain step whose lower end is second"),
+    _sided("C11", "ssi-seconds-at-least-half-girth", STRICT,
+           _applies_11, _claim_11,
+           "a finite girth needs at least girth/2 second submodules"),
+    _sided("C12", "ssi-girth-at-most-twice-seconds", STRICT,
+           _has_vertices, _claim_12,
+           "the girth is infinite or bounded by twice the number of seconds"),
+    _sided("C13", "ssi-uniform-all-second-complete", STRICT,
+           _applies_13, _claim_13,
+           "uniform modules all of whose nonzero submodules are second have "
+           "complete graphs; no instance in the bundled families qualifies"),
+    _sided("C14", "ssi-complete-lifts-to-colon-ideal-graph", STRICT,
+           _applies_14, _claim_14,
+           "for strong comultiplication modules a complete intersection "
+           "graph forces a complete colon-ideal graph"),
+    _sided("C15", "ssi-minimals-dominate", STRICT,
+           _has_vertices, _claim_15,
+           "the minimal submodules are an irredundant dominating set and "
+           "bound the domination number; with at most two of them the "
+           "domination number is 1 exactly under the universal-vertex shape"),
+    _sided("D1", "pss-universal-vertex-from-few-maximals", STRICT,
+           _applies_1, _claim_1,
+           "with at most two maximal submodules, a universal vertex exists "
+           "exactly when the unique-maximal or paired-maximal shape holds"),
+    _sided("D2", "pss-radical-neighbors-all-primes", STRICT,
+           _applies_2, _claim_2,
+           "when some r*x dies against r*M, the intersection of all primes "
+           "is a vertex adjacent to every other prime"),
+    _sided("D3", "pss-maximal-radical-is-universal", STRICT,
+           _applies_3, _claim_3,
+           "if the prime radical is the unique maximal submodule it is "
+           "universal; the converse is false (e.g. Z12), so only this "
+           "direction is claimed"),
+    _sided("D4", "pss-isolated-iff-maximal-and-minimal", STRICT,
+           _has_vertices, _claim_4,
+           "a vertex is isolated exactly when it is both maximal and minimal"),
+    _sided("D5", "pss-complete-forces-unique-maximal", STRICT,
+           _applies_5, _claim_5,
+           "a complete sum graph forces one maximal submodule and makes "
+           "every non-prime vertex minimal"),
+    _sided("D6", "pss-unique-maximal-completeness", REPORT,
+           _applies_6, _claim_6,
+           "one maximal submodule does not force completeness: Z16 has the "
+           "non-adjacent pair (4M, 8M); recorded as a finding"),
+    _sided("D7", "pss-matches-ideal-graph-for-multiplication", STRICT,
+           _applies_7, _claim_7,
+           "for multiplication modules, adjacency transfers to the colon "
+           "ideals whenever those are nonzero, distinct, and the colon of "
+           "the sum is their sum"),
+    _sided("D8", "pss-connectivity-and-diameter", STRICT,
+           _always, _claim_8,
+           "connected exactly when no two maximals meet in zero, and then "
+           "the diameter is at most 2"),
     Check("D9", "pss-connected-minimal-pairs-span", REPORT,
           _d9_applies, _d9_claim,
           "read literally, connectivity should make every pair of distinct "
           "minimals sum to M; both this and its negation are recorded, and "
           "the negation is what the connectivity argument actually uses"),
-    Check("D10", "pss-girth-three-or-comparable-edges", STRICT,
-          _d10_applies, _d10_claim,
-          "one non-comparable edge forces a triangle; otherwise every edge "
-          "is a chain step whose upper end is prime"),
-    Check("D11", "pss-primes-at-least-half-girth", STRICT,
-          _d11_applies, _d11_claim,
-          "a finite girth needs at least girth/2 prime submodules"),
-    Check("D12", "pss-girth-at-most-twice-primes", STRICT,
-          _d12_applies, _d12_claim,
-          "the girth is infinite or bounded by twice the number of primes"),
-    Check("D13", "pss-hollow-all-prime-complete", STRICT,
-          _d13_applies, _d13_claim,
-          "hollow modules all of whose proper submodules are prime have "
-          "complete graphs; no instance in the bundled families qualifies"),
-    Check("D14", "pss-complete-lifts-to-annihilator-graph", STRICT,
-          _d14_applies, _d14_claim,
-          "for faithful multiplication modules a complete sum graph forces "
-          "a complete annihilator-ideal graph"),
-    Check("D15", "pss-maximals-dominate", STRICT,
-          _d15_applies, _d15_claim,
-          "the maximal submodules are an irredundant dominating set and "
-          "bound the domination number; with at most two of them the "
-          "domination number is 1 exactly under the universal-vertex shape"),
+    _sided("D10", "pss-girth-three-or-comparable-edges", STRICT,
+           _applies_10, _claim_10,
+           "one non-comparable edge forces a triangle; otherwise every edge "
+           "is a chain step whose upper end is prime"),
+    _sided("D11", "pss-primes-at-least-half-girth", STRICT,
+           _applies_11, _claim_11,
+           "a finite girth needs at least girth/2 prime submodules"),
+    _sided("D12", "pss-girth-at-most-twice-primes", STRICT,
+           _has_vertices, _claim_12,
+           "the girth is infinite or bounded by twice the number of primes"),
+    _sided("D13", "pss-hollow-all-prime-complete", STRICT,
+           _applies_13, _claim_13,
+           "hollow modules all of whose proper submodules are prime have "
+           "complete graphs; no instance in the bundled families qualifies"),
+    _sided("D14", "pss-complete-lifts-to-annihilator-graph", STRICT,
+           _applies_14, _claim_14,
+           "for faithful multiplication modules a complete sum graph forces "
+           "a complete annihilator-ideal graph"),
+    _sided("D15", "pss-maximals-dominate", STRICT,
+           _has_vertices, _claim_15,
+           "the maximal submodules are an irredundant dominating set and "
+           "bound the domination number; with at most two of them the "
+           "domination number is 1 exactly under the universal-vertex shape"),
 )
 
 CHECKS_BY_ID = {c.id: c for c in CHECKS}

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from math import inf
 
 from .algebra import (
@@ -45,6 +46,7 @@ class GraphKind(str, Enum):
 
 IDEAL_KINDS = frozenset({GraphKind.SII, GraphKind.PIS})
 TILDE_KINDS = frozenset({GraphKind.SSI_TILDE, GraphKind.PSS_TILDE})
+MEET_KINDS = frozenset({GraphKind.SSI, GraphKind.SII, GraphKind.SSI_TILDE})
 
 
 @dataclass(frozen=True)
@@ -138,21 +140,20 @@ def build_graph(kind, module: FiniteModule, lattice: SubmoduleLattice | None = N
         return _build_tilde(kind, module, lattice, ring_lattice)
 
     symbol = "R" if kind in IDEAL_KINDS else "M"
-    verts = lattice.proper_nonzero()
+    return _pair_graph(kind, module, lattice, lattice.proper_nonzero(), symbol)
+
+
+def _pair_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
+                verts, symbol: str) -> SimpleGraph:
+    """The graph on `verts` (members of `lattice`) under the kind's edge
+    rule: the meet is second (ssi, sii, ssi_tilde) or the join is prime."""
+    holds, combine = ((lattice.is_second, lattice.meet) if kind in MEET_KINDS
+                      else (lattice.is_prime, lattice.join))
     vertices = tuple(GraphVertex(i, s, s.label(symbol), s.order)
                      for i, s in enumerate(verts))
-    edges = []
-    if kind in (GraphKind.SSI, GraphKind.SII):
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if lattice.is_second(lattice.meet(verts[i], verts[j])):
-                    edges.append((i, j))
-    else:
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                if lattice.is_prime(lattice.join(verts[i], verts[j])):
-                    edges.append((i, j))
-    return SimpleGraph(kind, ring, module, vertices, edges)
+    edges = [(i, j) for i, j in combinations(range(len(verts)), 2)
+             if holds(combine(verts[i], verts[j]))]
+    return SimpleGraph(kind, module.ring, module, vertices, edges)
 
 
 def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
@@ -171,18 +172,7 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
             continue
         picked.setdefault(ideal.elements, ideal)
     ideals = sorted(picked.values(), key=Submodule.sort_key)
-    vertices = tuple(GraphVertex(i, s, s.label("R"), s.order)
-                     for i, s in enumerate(ideals))
-    edges = []
-    for i in range(len(ideals)):
-        for j in range(i + 1, len(ideals)):
-            if kind is GraphKind.PSS_TILDE:
-                if ring_lattice.is_prime(ring_lattice.join(ideals[i], ideals[j])):
-                    edges.append((i, j))
-            else:
-                if ring_lattice.is_second(ring_lattice.meet(ideals[i], ideals[j])):
-                    edges.append((i, j))
-    return SimpleGraph(kind, ring, module, vertices, edges)
+    return _pair_graph(kind, module, ring_lattice, ideals, "R")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lcm
 
 from .algebra import (
@@ -37,7 +38,8 @@ DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
 
 class Instance:
-    """One module under test, with memoized lattice, graphs, and metrics."""
+    """One module under test, with memoized lattice, socle, radical, graphs,
+    and metrics."""
 
     def __init__(self, module: FiniteModule, *,
                  max_order: int = MAX_MODULE_ORDER,
@@ -91,11 +93,11 @@ class Instance:
     def primes(self):
         return self.lattice.primes()
 
-    @property
+    @cached_property
     def sec_socle(self) -> Submodule:
         return second_socle(self.lattice.top, self.lattice)
 
-    @property
+    @cached_property
     def radical(self) -> Submodule:
         return prime_radical(self.module, self.lattice)
 
