@@ -195,6 +195,49 @@ def brute_annihilator(sub):
                      if all(module.scale(r, x) == zero for x in sub.elements))
 
 
+def brute_properties(lattice):
+    """The nine module properties straight from their definitions, with
+    every r in R and m in M; submodules come from `lattice.all`."""
+    module = lattice.module
+    n = module.ring.modulus
+    els = module.elements()
+    zero = module.zero
+    factors = module.invariant_factors
+    subs = lattice.all
+
+    def image(r):  # rM
+        return frozenset(module.scale(r, m) for m in els)
+
+    def killed(residues):  # (0 :_M I)
+        return frozenset(m for m in els
+                         if all(module.scale(r, m) == zero for r in residues))
+
+    def ann(elements):  # Ann_R of a set of elements
+        return frozenset(r for r in range(n)
+                         if all(module.scale(r, m) == zero for m in elements))
+
+    coreduced = all(image(r) == image(r * r % n) for r in range(n))
+    reduced = all(image(r) & killed({r}) == {zero} for r in range(n))
+    multiplication = all(
+        close_under_addition({module.scale(r, m) for r in brute_colon(s) for m in els},
+                             factors) == s.elements
+        for s in subs)
+    comultiplication = all(killed(ann(s.elements)) == s.elements for s in subs)
+    ideals = {frozenset(r * k % n for k in range(n)) for r in range(n)}
+    dac = all(ann(killed(ideal)) == ideal for ideal in ideals)
+    return {
+        "coreduced": coreduced,
+        "reduced": reduced,
+        "multiplication": multiplication,
+        "comultiplication": comultiplication,
+        "dac": dac,
+        "strong_comultiplication": comultiplication and dac,
+        "faithful": ann(els) == {0},
+        "hollow": all(brute_small(s, subs) for s in subs if s.order < module.order),
+        "uniform": all(brute_large(s, subs) for s in subs if s.order > 1),
+    }
+
+
 # ---- brute-force order flags and lattice operations on package objects
 # (element sets only; `subs` is every submodule of the module)
 

@@ -1,4 +1,5 @@
 """Lattice enumeration, classification flags, and module properties."""
+import dataclasses
 import math
 from collections import Counter
 
@@ -164,7 +165,7 @@ def test_subgroup_counts_are_symmetric_in_the_order(module_text, size):
 
 FLAG_SAMPLE = [("Z12", None), ("Z16", None), ("Z30", None),
                ("Z2xZ4", "Z4"), ("Z3xZ9", None), ("Z2xZ2xZ2", "Z2"),
-               ("Z2xZ2xZ4", None)]
+               ("Z2xZ2xZ4", None), ("Z2xZ4", "Z24"), ("Z6", "Z36")]
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -199,6 +200,12 @@ def test_generator_colon_and_annihilator_match_full_scan(module_text, ring_text)
     for s in lat.all:
         assert lat.colon_elements(s) == helpers.brute_colon(s)
         assert lat.annihilator_elements(s) == helpers.brute_annihilator(s)
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_module_properties_match_definitions(module_text, ring_text):
+    lat = make_instance(module_text, ring_text).lattice
+    assert dataclasses.asdict(lat.properties()) == helpers.brute_properties(lat)
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)

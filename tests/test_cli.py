@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output formats, determinism."""
+import hashlib
 import json
 import os
 import shutil
@@ -140,6 +141,38 @@ def test_graph_tilde_kind(capsys):
     data = json.loads(out)
     assert data["ring"] == "Z4"
     assert [v["label"] for v in data["vertices"]] == ["2R"]
+
+
+# exit code and sha256 of stdout for ring-side exports; the empty digest
+# pins the ideal-graph refusal on a module that is not the ring itself
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+RING_SIDE_DIGESTS = {
+    ("Z72", None, "classify"):
+        (0, "8057ea36d2960ab1522f1488208c69c1f22bf72b4cded0bc962a81127bd617ad"),
+    ("Z72", None, "pss_tilde"):
+        (0, "497441923ac78fa8f690d834a48d78cb803a28c73009948f45e86a6022b21b51"),
+    ("Z72", None, "ssi_tilde"):
+        (0, "a1ff784447b58384ac0021c0e7037de198711162b42a2998e3b1d256a7e3ef5d"),
+    ("Z72", None, "pis"):
+        (0, "dace389d23e33c3ddbf6dd2afb20829803bb69f2938b24cbc6d1b351e0a2796a"),
+    ("Z2xZ4", "Z48", "classify"):
+        (0, "6854e564b5c7d2cab36c595d4d4f8a86389172c01183d27c84c9513199ce6ab1"),
+    ("Z2xZ4", "Z48", "pss_tilde"):
+        (0, "b27b4437df280d31227ee4b54c5136d2e13378e51208b89d3420ba6c93d018eb"),
+    ("Z2xZ4", "Z48", "ssi_tilde"):
+        (0, "dc430737789563f55978dcd3c5c72325e3d13adaed809e6b103fec5754eb7bef"),
+    ("Z2xZ4", "Z48", "pis"): (2, EMPTY),
+}
+
+
+@pytest.mark.parametrize("module_text,ring_text,what", list(RING_SIDE_DIGESTS))
+def test_ring_side_exports_are_byte_stable(module_text, ring_text, what, capsys):
+    target = ["--module", module_text] + (["--ring", ring_text] if ring_text else [])
+    command = ["classify"] if what == "classify" else ["graph", "--kind", what]
+    code, out, _ = run_cli(command[0], *target, *command[1:], "--format", "json",
+                           capsys=capsys)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == RING_SIDE_DIGESTS[module_text, ring_text, what]
 
 
 # ---------------------------------------------------------------- check
