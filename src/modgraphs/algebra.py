@@ -6,10 +6,16 @@ the action is coordinatewise multiplication.  Because the action factors
 through repeated addition, every additive subgroup is a submodule, which
 keeps enumeration exact and cheap at the orders we care about.
 
-Second and prime are decided by direct exhaustion over ring and module
-elements.  The lattice stores each member as an int bitmask over element
-positions, so meet, join and the order flags (minimal, maximal, large,
-small) are read off the masks and the member orders.
+Every quantifier over the ring runs over the divisors of n only.  Any
+r in Z_n is u*g with g = gcd(r, n) and u a unit, and a unit maps every
+submodule onto itself, so r and g scale each submodule to the same image
+and kill the same elements: rN = gN and (0 :_N r) = (0 :_N g).  The
+module caches gM and (0 :_M g) as bitmasks over element positions, one
+pair per divisor, and the lattice stores each member as such a mask, so
+the second and prime flags, colon and annihilator ideals and the module
+properties are mask tests over the d(n) divisors, and meet, join and the
+order flags (minimal, maximal, large, small) are read off the masks and
+the member orders.
 """
 from __future__ import annotations
 
@@ -65,7 +71,7 @@ def _parse_atoms(text: str) -> tuple[int, ...]:
 class Ring:
     """The ring of integers modulo n.  Ideals are the subgroups dZ_n."""
 
-    __slots__ = ("modulus", "_module", "_lattice")
+    __slots__ = ("modulus", "_module", "_lattice", "_divisors")
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
@@ -73,12 +79,17 @@ class Ring:
         self.modulus = modulus
         self._module = None
         self._lattice = None
+        self._divisors = None
 
     def elements(self) -> range:
         return range(self.modulus)
 
-    def divisors(self) -> list[int]:
-        return divisors(self.modulus)
+    def divisors(self) -> tuple[int, ...]:
+        """The divisors of n in increasing order; g = gcd(r, n) stands for
+        the residue r, and n for the residue 0."""
+        if self._divisors is None:
+            self._divisors = tuple(divisors(self.modulus))
+        return self._divisors
 
     def as_module(self) -> "FiniteModule":
         """This ring viewed as a module over itself."""
@@ -115,7 +126,8 @@ class Ring:
 class FiniteModule:
     """A finite Z_n-module given as Z_{d_1} x ... x Z_{d_k}, each d_i | n."""
 
-    __slots__ = ("ring", "invariant_factors", "_elements", "_scaled", "_repeats")
+    __slots__ = ("ring", "invariant_factors", "_elements", "_scaled", "_kernels",
+                 "_repeats")
 
     def __init__(self, ring: Ring, invariant_factors: tuple[int, ...]):
         factors = tuple(invariant_factors)
@@ -131,6 +143,7 @@ class FiniteModule:
         self.invariant_factors = factors
         self._elements = None
         self._scaled = {}
+        self._kernels = {}
         self._repeats = {}
 
     @property
@@ -212,13 +225,26 @@ class FiniteModule:
         k = len(self.invariant_factors)
         return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
-    def scaled_set(self, d: int) -> frozenset:
-        """The image set dM, cached per scalar."""
-        s = self._scaled.get(d)
-        if s is None:
-            s = frozenset(self.scale(d, x) for x in self.elements())
-            self._scaled[d] = s
-        return s
+    def scaled_mask(self, r: int) -> int:
+        """The mask of rM, spanned by r times each unit generator; cached
+        per g = gcd(r, n), which has the same image."""
+        g = gcd(r, self.ring.modulus)
+        got = self._scaled.get(g)
+        if got is None:
+            got = self._scaled[g] = _closure(
+                self, [self.scale(g, e) for e in self.unit_generators()])
+        return got
+
+    def kernel_mask(self, r: int) -> int:
+        """The mask of (0 :_M r) = {m : rm = 0}, spanned by d/gcd(r, d) times
+        the unit generator of each factor Z_d; cached per g = gcd(r, n)."""
+        g = gcd(r, self.ring.modulus)
+        got = self._kernels.get(g)
+        if got is None:
+            got = self._kernels[g] = _closure(
+                self, [self.scale(d // gcd(g, d), e)
+                       for d, e in zip(self.invariant_factors, self.unit_generators())])
+        return got
 
     @property
     def descriptor(self) -> str:
@@ -301,8 +327,11 @@ class Submodule:
             text = symbol
         else:
             text = ""
-            for d in divisors(self.module.exponent):
-                if d >= 2 and self.module.scaled_set(d) == self.elements:
+            module = self.module
+            for d in divisors(module.exponent)[1:]:
+                image = module.scaled_mask(d)
+                if (image.bit_count() == len(self.elements)
+                        and module.elements_in(image) == self.elements):
                     text = f"{d}{symbol}"
                     break
             if not text:
@@ -424,51 +453,37 @@ def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     return _from_mask(n.module, n.module.mask_of(n.elements & k.elements))
 
 
-def _colon_elements(n: Submodule, module: FiniteModule) -> frozenset:
-    # r*M <= N holds as soon as r sends each generator of M into N,
-    # because N is closed under addition and the action.
-    scale = module.scale
-    gens = module.unit_generators()
-    members = n.elements
-    return frozenset(r for r in module.ring.elements()
-                     if all(scale(r, g) in members for g in gens))
+# Both ideals below are cZ_n, and a divisor g of n lies in cZ_n iff c | g,
+# so c is the least divisor that passes the test; n (residue 0) always does.
+
+def _colon_divisor(module: FiniteModule, mask: int) -> int:
+    """The c with (N :_R M) = cZ_n, for N given by its mask: least gM <= N."""
+    scaled = module.scaled_mask
+    return next(g for g in module.ring.divisors() if scaled(g) & mask == scaled(g))
 
 
-def _annihilator_elements(n: Submodule) -> frozenset:
-    module = n.module
-    scale = module.scale
-    zero = module.zero
-    gens = n.generators
-    return frozenset(r for r in module.ring.elements()
-                     if all(scale(r, g) == zero for g in gens))
-
-
-def _ideal_of(ring: Ring, residues: frozenset) -> Submodule:
-    d = ring.modulus
-    for r in residues:
-        d = gcd(d, r)
-    return ring.ideal(d)
+def _annihilator_divisor(module: FiniteModule, mask: int) -> int:
+    """The c with Ann_R(N) = cZ_n, for N given by its mask: least N <= (0 :_M g)."""
+    kernel = module.kernel_mask
+    return next(g for g in module.ring.divisors() if mask & kernel(g) == mask)
 
 
 def ideal_divisor(ideal: Submodule) -> int:
     """The divisor d with ideal = dZ_n; the zero ideal reports n."""
-    n = ideal.module.ring.modulus
-    d = n
-    for (r,) in ideal.elements:
-        d = gcd(d, r)
-    return d if d > 0 else n
+    return ideal.module.ring.modulus // ideal.order
 
 
 def colon_ideal(n: Submodule, module: FiniteModule) -> Submodule:
     """(N :_R M) = {r : r*M <= N} as an ideal of the ring."""
     if n.module != module:
         raise ValueError("submodule does not belong to the given module")
-    return _ideal_of(module.ring, _colon_elements(n, module))
+    return module.ring.ideal(_colon_divisor(module, module.mask_of(n.elements)))
 
 
 def annihilator(n: Submodule) -> Submodule:
     """Ann_R(N) = {r : r*N = 0} as an ideal of the ring."""
-    return _ideal_of(n.module.ring, _annihilator_elements(n))
+    module = n.module
+    return module.ring.ideal(_annihilator_divisor(module, module.mask_of(n.elements)))
 
 
 @dataclass(frozen=True)
@@ -555,9 +570,10 @@ class SubmoduleLattice:
     `masks[i]` is member i as an int bitmask over the positions of the
     module's elements (see `FiniteModule.position`), so meet is a mask AND,
     containment a mask test, and join a search of one order bucket.
-    Second and prime flags exhaust their definitions over ring and module
-    elements; the order flags are read off the masks.  Every flag family
-    is computed lazily and cached.
+    Second and prime flags, colon and annihilator ideals and the module
+    properties test the masks against the module's gM and (0 :_M g) for
+    each divisor g of n (see the module docstring); the order flags are
+    read off the masks.  Every flag family is computed lazily and cached.
     """
 
     def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
@@ -570,11 +586,10 @@ class SubmoduleLattice:
         self._by_order: dict[int, list[int]] = {}
         for i, s in enumerate(members):
             self._by_order.setdefault(s.order, []).append(i)
-        self._zero_fs = frozenset({module.zero})
         self._flag_lists: dict[str, list[bool]] = {}
         self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
-        self._colon: dict[int, frozenset] = {}
-        self._ann: dict[int, frozenset] = {}
+        self._colon: dict[int, int] = {}
+        self._ann: dict[int, int] = {}
         self._props = None
 
     def __len__(self):
@@ -600,9 +615,6 @@ class SubmoduleLattice:
         except KeyError:
             raise ValueError(f"{sub!r} is not in this lattice") from None
 
-    def find(self, elements: frozenset) -> Submodule:
-        return self.all[self._index[frozenset(elements)]]
-
     def join(self, a: Submodule, b: Submodule) -> Submodule:
         # |A + B| = |A||B| / |A n B|, and A + B is the one member of that
         # order containing A u B: any other would be a second upper bound
@@ -624,69 +636,57 @@ class SubmoduleLattice:
         return self.all[self._by_mask[self._mask[self.index_of(a)]
                                       & self._mask[self.index_of(b)]]]
 
+    def ideal(self, c: int) -> Submodule:
+        """The ideal cZ_n, when this is the lattice of Z_n over itself: its
+        one member of order n / gcd(c, n)."""
+        n = self.module.order
+        return self.all[self._by_order[n // gcd(c, n)][0]]
+
     # -- classification flags ------------------------------------------
 
-    def colon_elements(self, sub: Submodule) -> frozenset:
+    def colon_divisor(self, sub: Submodule) -> int:
+        """The c with (sub :_R M) = cZ_n."""
         i = self.index_of(sub)
         got = self._colon.get(i)
         if got is None:
-            got = _colon_elements(sub, self.module)
-            self._colon[i] = got
+            got = self._colon[i] = _colon_divisor(self.module, self._mask[i])
         return got
 
-    def annihilator_elements(self, sub: Submodule) -> frozenset:
+    def annihilator_divisor(self, sub: Submodule) -> int:
+        """The c with Ann_R(sub) = cZ_n."""
         i = self.index_of(sub)
         got = self._ann.get(i)
         if got is None:
-            got = _annihilator_elements(sub)
-            self._ann[i] = got
+            got = self._ann[i] = _annihilator_divisor(self.module, self._mask[i])
         return got
 
+    def colon_elements(self, sub: Submodule) -> frozenset:
+        """The residues of (sub :_R M)."""
+        return frozenset(range(0, self.module.ring.modulus, self.colon_divisor(sub)))
+
+    def annihilator_elements(self, sub: Submodule) -> frozenset:
+        """The residues of Ann_R(sub)."""
+        return frozenset(range(0, self.module.ring.modulus, self.annihilator_divisor(sub)))
+
     def _second_flags(self) -> list[bool]:
-        out = []
-        scale = self.module.scale
-        ring = self.module.ring.elements()
-        for s in self.all:
-            if s.is_zero:
-                out.append(False)
-                continue
-            ok = True
-            for r in ring:
-                image = frozenset(scale(r, x) for x in s.elements)
-                if image != self._zero_fs and image != s.elements:
-                    ok = False
-                    break
-            out.append(ok)
-        return out
+        # gN = N iff N meets (0 :_M g) in 0, and gN = 0 iff N lies in it
+        kernels = [self.module.kernel_mask(g) for g in self.module.ring.divisors()]
+        return [mask != 1 and all(mask & k in (1, mask) for k in kernels)
+                for mask in self._mask]
 
     def _prime_flags(self) -> list[bool]:
-        out = []
+        # {m : gm in P} contains P and has order |(0 :_M g)| * |P n gM|, so
+        # it equals P iff those orders agree; gM <= P exempts g instead
         module = self.module
-        scale = module.scale
-        els = module.elements()
         full = (1 << module.order) - 1
-        for s, mask in zip(self.all, self._mask):
-            if s.is_full:
-                out.append(False)
-                continue
-            colon = self.colon_elements(s)
-            members = s.elements
-            # whether r*m lands in P depends on m only through m + P,
-            # so one representative per nonzero coset suffices
-            reps = []
-            covered = mask
-            while covered != full:
-                m = els[(~covered & (covered + 1)).bit_length() - 1]
-                reps.append(m)
-                covered |= module.translate(mask, m)
-            ok = True
-            for r in module.ring.elements():
-                if r in colon:
-                    continue
-                if any(scale(r, m) in members for m in reps):
-                    ok = False
-                    break
-            out.append(ok)
+        tests = [(module.scaled_mask(g), module.kernel_mask(g).bit_count())
+                 for g in module.ring.divisors()]
+        out = []
+        for mask in self._mask:
+            size = mask.bit_count()
+            out.append(mask != full and all(
+                image & mask == image or kernel * (image & mask).bit_count() == size
+                for image, kernel in tests))
         return out
 
     def _order_extremes(self, below: bool) -> list[bool]:
@@ -799,57 +799,21 @@ class SubmoduleLattice:
 
     def _compute_properties(self) -> ModuleProperties:
         module = self.module
-        ring = module.ring
-        scale = module.scale
-        zero = module.zero
-        elements = module.elements()
+        n = module.ring.modulus
+        divs = module.ring.divisors()
+        scaled, kernel = module.scaled_mask, module.kernel_mask
 
-        coreduced = all(module.scaled_set(r) == module.scaled_set((r * r) % ring.modulus)
-                        for r in ring.elements())
-
-        # reduced: rM meets the elements killed by r only in zero, every r
-        reduced = True
-        for r in ring.elements():
-            for x in module.scaled_set(r):
-                if x != zero and scale(r, x) == zero:
-                    reduced = False
-                    break
-            if not reduced:
-                break
-
-        gens = module.unit_generators()
-        multiplication = True
-        for s, mask in zip(self.all, self._mask):
-            d = ring.modulus
-            for r in self.colon_elements(s):
-                d = gcd(d, r)
-            # the colon ideal is dZ_n, so its product with M is spanned by d*gens
-            image = _closure(module, [scale(d, g) for g in gens])
-            if image != mask:
-                multiplication = False
-                break
-
-        comultiplication = True
-        for s in self.all:
-            a = ring.modulus
-            for r in self.annihilator_elements(s):
-                a = gcd(a, r)
-            killed = frozenset(m for m in elements if scale(a, m) == zero)
-            if killed != s.elements:
-                comultiplication = False
-                break
-
-        dac = True
-        for ideal in ring.lattice().all:
-            d = ideal_divisor(ideal)
-            killed = frozenset(m for m in elements if scale(d, m) == zero)
-            sub = self.find(killed)
-            ann = self.annihilator_elements(sub)
-            if ann != frozenset(r for (r,) in ideal.elements):
-                dac = False
-                break
-
-        faithful = self.annihilator_elements(self.top) == frozenset({0})
+        coreduced = all(scaled(g) == scaled(g * g) for g in divs)
+        reduced = all(scaled(g) & kernel(g) == 1 for g in divs)
+        # (N :_R M) = cZ_n gives (N :_R M)M = cM, and Ann_R(N) = aZ_n gives
+        # (0 :_M Ann_R(N)) = (0 :_M a)
+        multiplication = all(scaled(self.colon_divisor(s)) == mask
+                             for s, mask in zip(self.all, self._mask))
+        comultiplication = all(kernel(self.annihilator_divisor(s)) == mask
+                               for s, mask in zip(self.all, self._mask))
+        # the ideals of Z_n are the dZ_n, and (0 :_M dZ_n) = (0 :_M d)
+        dac = all(_annihilator_divisor(module, kernel(d)) == d for d in divs)
+        faithful = self.annihilator_divisor(self.top) == n
         hollow = all(self.is_small(s) for s in self.all if not s.is_full)
         uniform = all(self.is_large(s) for s in self.all if not s.is_zero)
 

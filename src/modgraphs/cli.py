@@ -168,8 +168,10 @@ def _cmd_graph(args) -> int:
     lattice = enumerate_submodules(module, max_order=args.max_order)
     kind = GraphKind(args.kind)
     if kind in TILDE_KINDS:
-        g = build_graph(kind, module, lattice,
-                        ring_lattice=ring.lattice(max_order=args.max_order))
+        # Z_n over itself is its own ideal lattice: enumerate it once
+        ring_lattice = (lattice if module == ring.as_module()
+                        else ring.lattice(max_order=args.max_order))
+        g = build_graph(kind, module, lattice, ring_lattice=ring_lattice)
     else:
         g = build_graph(kind, module, lattice)
     _emit(export_graph(g, args.format), args.out)

@@ -161,17 +161,11 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
     ring = module.ring
     if ring_lattice is None:
         ring_lattice = ring.lattice()
-    picked: dict[frozenset, Submodule] = {}
-    for s in lattice.all:
-        if kind is GraphKind.PSS_TILDE:
-            residues = lattice.colon_elements(s)
-        else:
-            residues = lattice.annihilator_elements(s)
-        ideal = ring_lattice.find(frozenset((r,) for r in residues))
-        if ideal.is_zero or ideal.is_full:
-            continue
-        picked.setdefault(ideal.elements, ideal)
-    ideals = sorted(picked.values(), key=Submodule.sort_key)
+    divisor = (lattice.colon_divisor if kind is GraphKind.PSS_TILDE
+               else lattice.annihilator_divisor)
+    picked = {ring_lattice.ideal(divisor(s)) for s in lattice.all}
+    ideals = sorted((i for i in picked if not i.is_zero and not i.is_full),
+                    key=Submodule.sort_key)
     return _pair_graph(kind, module, ring_lattice, ideals, "R")
 
 

@@ -106,12 +106,10 @@ class Instance:
         return self.lattice.properties()
 
     def ann_ideal(self, sub: Submodule) -> Submodule:
-        residues = self.lattice.annihilator_elements(sub)
-        return self.ring_lattice.find(frozenset((r,) for r in residues))
+        return self.ring_lattice.ideal(self.lattice.annihilator_divisor(sub))
 
     def colon_of(self, sub: Submodule) -> Submodule:
-        residues = self.lattice.colon_elements(sub)
-        return self.ring_lattice.find(frozenset((r,) for r in residues))
+        return self.ring_lattice.ideal(self.lattice.colon_divisor(sub))
 
     def graph(self, kind):
         kind = GraphKind(str(kind))
