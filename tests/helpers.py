@@ -3,8 +3,8 @@
 Everything here recomputes results a second way: subgroups come from a
 power-set filter, a divisor walk, a basis parameterization, RREF
 matrices or a closure of every triple of elements instead of the package's
-enumeration; flags come from raw definitional loops over all elements and
-all submodules, joins from closing the union under addition; graph
+enumeration; flags and module properties come from raw definitional
+loops over all elements and all submodules, joins from closing the union under addition; graph
 invariants come from Floyd-Warshall and subset search.  The oracles deliberately avoid the package's enumeration and
 metric code paths.
 """
