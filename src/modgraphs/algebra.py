@@ -71,7 +71,7 @@ def _parse_atoms(text: str) -> tuple[int, ...]:
 class Ring:
     """The ring of integers modulo n.  Ideals are the subgroups dZ_n."""
 
-    __slots__ = ("modulus", "_module", "_lattice", "_divisors")
+    __slots__ = ("modulus", "_module", "_lattice")
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 2:
@@ -79,17 +79,14 @@ class Ring:
         self.modulus = modulus
         self._module = None
         self._lattice = None
-        self._divisors = None
 
     def elements(self) -> range:
         return range(self.modulus)
 
-    def divisors(self) -> tuple[int, ...]:
+    def divisors(self) -> list[int]:
         """The divisors of n in increasing order; g = gcd(r, n) stands for
         the residue r, and n for the residue 0."""
-        if self._divisors is None:
-            self._divisors = tuple(divisors(self.modulus))
-        return self._divisors
+        return divisors(self.modulus)
 
     def as_module(self) -> "FiniteModule":
         """This ring viewed as a module over itself."""
@@ -509,6 +506,17 @@ class ModuleProperties:
     uniform: bool
 
 
+def module_lattice(module: FiniteModule, *,
+                   max_order: int = MAX_MODULE_ORDER,
+                   max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
+    """The submodule lattice of M.  Z_n over itself gets its ring's cached
+    ideal lattice, so the module side and the ring side share one
+    enumeration."""
+    if module == module.ring.as_module():
+        return module.ring.lattice(max_order=max_order, max_lattice=max_lattice)
+    return enumerate_submodules(module, max_order=max_order, max_lattice=max_lattice)
+
+
 def enumerate_submodules(module: FiniteModule, *,
                          max_order: int = MAX_MODULE_ORDER,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
@@ -637,8 +645,10 @@ class SubmoduleLattice:
                                       & self._mask[self.index_of(b)]]]
 
     def ideal(self, c: int) -> Submodule:
-        """The ideal cZ_n, when this is the lattice of Z_n over itself: its
-        one member of order n / gcd(c, n)."""
+        """The ideal cZ_n, the one member of order n / gcd(c, n); only the
+        lattice of Z_n over itself holds ideals."""
+        if self.module != self.module.ring.as_module():
+            raise ValueError(f"ideals live in the lattice of Z_n over itself, not of {self.module!r}")
         n = self.module.order
         return self.all[self._by_order[n // gcd(c, n)][0]]
 

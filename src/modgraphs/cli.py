@@ -14,6 +14,7 @@ from .algebra import (
     DescriptorError,
     SizeGuardError,
     enumerate_submodules,
+    module_lattice,
     parse_descriptor,
 )
 from .graphs import TILDE_KINDS, GraphKind, _element_set_text, build_graph, export_graph
@@ -165,15 +166,10 @@ def _cmd_classify(args) -> int:
 
 def _cmd_graph(args) -> int:
     ring, module = parse_descriptor(args.module, args.ring)
-    lattice = enumerate_submodules(module, max_order=args.max_order)
+    lattice = module_lattice(module, max_order=args.max_order)
     kind = GraphKind(args.kind)
-    if kind in TILDE_KINDS:
-        # Z_n over itself is its own ideal lattice: enumerate it once
-        ring_lattice = (lattice if module == ring.as_module()
-                        else ring.lattice(max_order=args.max_order))
-        g = build_graph(kind, module, lattice, ring_lattice=ring_lattice)
-    else:
-        g = build_graph(kind, module, lattice)
+    ring_lattice = ring.lattice(max_order=args.max_order) if kind in TILDE_KINDS else None
+    g = build_graph(kind, module, lattice, ring_lattice=ring_lattice)
     _emit(export_graph(g, args.format), args.out)
     return 0
 

@@ -28,7 +28,7 @@ from .algebra import (
     SubmoduleLattice,
     _format_element,
     bit_positions,
-    enumerate_submodules,
+    module_lattice,
 )
 
 
@@ -134,7 +134,7 @@ def build_graph(kind, module: FiniteModule, lattice: SubmoduleLattice | None = N
             f"graph kind {kind} is an ideal graph; build it for {ring.descriptor} "
             f"over itself, not for {module.descriptor}")
     if lattice is None:
-        lattice = enumerate_submodules(module)
+        lattice = module_lattice(module)
 
     if kind in TILDE_KINDS:
         return _build_tilde(kind, module, lattice, ring_lattice)

@@ -25,8 +25,9 @@ from .algebra import (
     MAX_MODULE_ORDER,
     DescriptorError,
     FiniteModule,
+    Ring,
     Submodule,
-    enumerate_submodules,
+    module_lattice,
     parse_descriptor,
     prime_radical,
     second_socle,
@@ -49,7 +50,6 @@ class Instance:
         self.max_order = max_order
         self.max_lattice = max_lattice
         self._lattice = None
-        self._ring_lattice = None
         self._graphs = {}
         self._metrics = {}
 
@@ -63,19 +63,13 @@ class Instance:
     @property
     def lattice(self):
         if self._lattice is None:
-            self._lattice = enumerate_submodules(
+            self._lattice = module_lattice(
                 self.module, max_order=self.max_order, max_lattice=self.max_lattice)
         return self._lattice
 
     @property
     def ring_lattice(self):
-        if self._ring_lattice is None:
-            if self.module == self.ring.as_module():
-                self._ring_lattice = self.lattice
-            else:
-                self._ring_lattice = self.ring.lattice(
-                    max_order=self.max_order, max_lattice=self.max_lattice)
-        return self._ring_lattice
+        return self.ring.lattice(max_order=self.max_order, max_lattice=self.max_lattice)
 
     @property
     def minimals(self):
@@ -188,15 +182,22 @@ def _expand_item(item: str):
 
 def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
                     max_lattice: int = MAX_LATTICE_SIZE) -> list[Instance]:
-    """Expand a family string into instances, first occurrence wins."""
+    """Expand a family string into instances, first occurrence wins.
+
+    Modules over the same Z_n share one Ring, so its ideal lattice is
+    enumerated once per family, as Z_n's own lattice or as a ring lattice.
+    """
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
         raise DescriptorError("empty family description")
     out: list[Instance] = []
     seen: set[str] = set()
+    rings: dict[int, Ring] = {}
     for item in items:
-        for _ring, module in _expand_item(item):
-            inst = Instance(module, max_order=max_order, max_lattice=max_lattice)
+        for ring, module in _expand_item(item):
+            ring = rings.setdefault(ring.modulus, ring)
+            inst = Instance(FiniteModule(ring, module.invariant_factors),
+                            max_order=max_order, max_lattice=max_lattice)
             if inst.descriptor not in seen:
                 seen.add(inst.descriptor)
                 out.append(inst)

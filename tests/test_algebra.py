@@ -410,3 +410,11 @@ def test_annihilator_of_second_is_prime_ideal(params, seed):
     s = seconds[seed % len(seconds)]
     ideal = inst.ann_ideal(s)
     assert inst.ring_lattice.is_prime(ideal)
+
+
+def test_ideal_lookup_needs_the_ring_lattice(z2z4):
+    # ideals are found by order, which names one member only in Z_n's lattice
+    with pytest.raises(ValueError):
+        z2z4.lattice.ideal(2)
+    assert z2z4.ring_lattice.ideal(2).elements == frozenset({(0,), (2,)})
+    assert z2z4.ring_lattice.ideal(6).elements == frozenset({(0,), (2,)})

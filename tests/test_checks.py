@@ -254,7 +254,6 @@ class DoctoredInstance(Instance):
         super().__init__(base.module, max_order=base.max_order,
                          max_lattice=base.max_lattice)
         self._lattice = base.lattice
-        self._ring_lattice = base.ring_lattice
         self._base = base
         self._doctor = doctor
 

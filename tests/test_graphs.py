@@ -9,9 +9,11 @@ from conftest import make_instance
 from modgraphs import (
     DescriptorError,
     GraphKind,
+    algebra,
     build_graph,
     export_graph,
     graph_metrics,
+    parse_descriptor,
 )
 
 INF = math.inf
@@ -153,6 +155,24 @@ def test_ideal_graphs_need_the_ring_itself():
     # but Instance.graph reroutes to the underlying ring
     g = inst.graph(GraphKind.PIS)
     assert [v.label for v in g.vertices] == ["2R"]
+
+
+@pytest.mark.parametrize("kind", [GraphKind.PSS_TILDE, GraphKind.SSI_TILDE])
+def test_tilde_graph_of_the_ring_enumerates_once(kind, monkeypatch):
+    # Z_n over itself is its own ideal lattice, so the module side and the
+    # ring side of a tilde graph need one enumeration between them
+    calls = []
+    real = algebra.enumerate_submodules
+
+    def counted(module, **kwargs):
+        calls.append(module.descriptor)
+        return real(module, **kwargs)
+
+    monkeypatch.setattr(algebra, "enumerate_submodules", counted)
+    _ring, module = parse_descriptor("Z72")
+    g = build_graph(kind, module)
+    assert calls == ["Z72"]
+    assert g.vertex_count == 10  # the proper nonzero ideals of Z72
 
 
 def test_sii_equals_ssi_on_the_ring_as_module():

@@ -96,6 +96,14 @@ def test_cyclic_instance_shares_ring_lattice(z12):
     assert z12.ring_lattice is z12.lattice
 
 
+def test_family_shares_one_ring_per_modulus():
+    fam = {i.descriptor: i for i in
+           generate_family("product:ab<=8,cyclic:2..8,vector:2^3")}
+    assert fam["Z2xZ4"].ring_lattice is fam["Z4"].lattice
+    assert fam["Z2xZ3"].ring_lattice is fam["Z6"].lattice
+    assert fam["Z2xZ2xZ2"].ring_lattice is fam["Z2"].lattice
+
+
 def test_product_instance_builds_separate_ring_lattice(z2z4):
     assert z2z4.ring_lattice is not z2z4.lattice
     assert len(z2z4.ring_lattice) == 3  # ideals of Z4
