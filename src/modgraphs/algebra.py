@@ -648,7 +648,8 @@ class SubmoduleLattice:
         """The ideal cZ_n, the one member of order n / gcd(c, n); only the
         lattice of Z_n over itself holds ideals."""
         if self.module != self.module.ring.as_module():
-            raise ValueError(f"ideals live in the lattice of Z_n over itself, not of {self.module!r}")
+            raise ValueError("ideals live in the lattice of Z_n over itself, "
+                             f"not of {self.module!r}")
         n = self.module.order
         return self.all[self._by_order[n // gcd(c, n)][0]]
 
