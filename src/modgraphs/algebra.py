@@ -6,13 +6,17 @@ the action is coordinatewise multiplication.  Because the action factors
 through repeated addition, every additive subgroup is a submodule, which
 keeps enumeration exact and cheap at the orders we care about.
 
+A submodule is its mask: an int with one bit per element position of
+the module (see `FiniteModule.position`).  Equality, containment, meet
+and order are mask arithmetic, and the element set is derived from the
+mask only where a listing is printed.
+
 Every quantifier over the ring runs over the divisors of n only.  Any
 r in Z_n is u*g with g = gcd(r, n) and u a unit, and a unit maps every
 submodule onto itself, so r and g scale each submodule to the same image
 and kill the same elements: rN = gN and (0 :_N r) = (0 :_N g).  The
-module caches gM and (0 :_M g) as bitmasks over element positions, one
-pair per divisor, and the lattice stores each member as such a mask, so
-the second and prime flags, colon and annihilator ideals and the module
+module caches gM and (0 :_M g) as masks, one pair per divisor, so the
+second and prime flags, colon and annihilator ideals and the module
 properties are mask tests over the d(n) divisors, and meet, join and the
 order flags (minimal, maximal, large, small) are read off the masks and
 the member orders.
@@ -277,44 +281,40 @@ def parse_descriptor(module_text: str, ring_text: str | None = None) -> tuple[Ri
 
 
 class Submodule:
-    """A submodule, identified by its full element set.
+    """A submodule of `module`, identified by the module and its mask.
 
-    Equality and ordering use the sorted element list, so every
-    collection of submodules has one canonical order.
+    Bit p of `mask` is set when the element at position p of
+    `module.elements()` lies in the submodule.  Equality is equal masks
+    in equal modules, and `<=`/`<` are mask containment.  The element
+    set is derived from the mask on each read of `elements`.
     """
 
-    __slots__ = ("module", "elements", "generators", "_key", "_labels")
+    __slots__ = ("module", "mask", "generators", "_labels")
 
-    def __init__(self, module: FiniteModule, elements: frozenset, generators: tuple):
+    def __init__(self, module: FiniteModule, mask: int):
         self.module = module
-        self.elements = elements
-        self.generators = generators
-        self._key = None
+        self.mask = mask
+        self.generators = _canonical_generators(module, mask)
         self._labels = {}
 
     @property
+    def elements(self) -> frozenset:
+        return self.module.elements_in(self.mask)
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     @property
     def is_zero(self) -> bool:
-        return len(self.elements) == 1
+        return self.mask == 1  # the zero element sits at position 0
 
     @property
     def is_full(self) -> bool:
-        return len(self.elements) == self.module.order
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_full
-
-    def sort_key(self) -> tuple:
-        if self._key is None:
-            self._key = tuple(sorted(self.elements))
-        return self._key
+        return self.mask.bit_count() == self.module.order
 
     def label(self, symbol: str = "M") -> str:
-        """Short name: 0, M, dM when the set equals d*M, else generators."""
+        """Short name: 0, M, dM when the submodule equals d*M, else generators."""
         got = self._labels.get(symbol)
         if got is not None:
             return got
@@ -326,9 +326,7 @@ class Submodule:
             text = ""
             module = self.module
             for d in divisors(module.exponent)[1:]:
-                image = module.scaled_mask(d)
-                if (image.bit_count() == len(self.elements)
-                        and module.elements_in(image) == self.elements):
+                if module.scaled_mask(d) == self.mask:
                     text = f"{d}{symbol}"
                     break
             if not text:
@@ -337,22 +335,23 @@ class Submodule:
         return text
 
     def __eq__(self, other):
-        return (isinstance(other, Submodule) and other.module == self.module
-                and other.elements == self.elements)
+        return (isinstance(other, Submodule) and other.mask == self.mask
+                and _same_module(other.module, self.module))
 
     def __hash__(self):
-        return hash(self.elements)
+        return hash((self.module, self.mask))
 
     def __le__(self, other):
         _require_same_module(self, other)
-        return self.elements <= other.elements
+        return self.mask & other.mask == self.mask
 
     def __lt__(self, other):
         _require_same_module(self, other)
-        return self.elements < other.elements
+        return self.mask & other.mask == self.mask != other.mask
 
     def __contains__(self, x):
-        return x in self.elements
+        module = self.module
+        return module.contains(x) and bool(self.mask >> module.position(x) & 1)
 
     def __repr__(self):
         return f"Submodule({self.label()} of {self.module.descriptor})"
@@ -364,8 +363,13 @@ def _format_element(x: Element) -> str:
     return "(" + ",".join(str(a) for a in x) + ")"
 
 
+def _same_module(m: FiniteModule, k: FiniteModule) -> bool:
+    # the identity test first: equal modules are nearly always one object
+    return m is k or m == k
+
+
 def _require_same_module(a: Submodule, b: Submodule) -> None:
-    if a.module != b.module:
+    if not _same_module(a.module, b.module):
         raise ValueError("submodules live in different modules")
 
 
@@ -421,33 +425,29 @@ def _canonical_generators(module: FiniteModule, mask: int) -> tuple[Element, ...
     return tuple(pruned)
 
 
-def _from_mask(module: FiniteModule, mask: int) -> Submodule:
-    return Submodule(module, module.elements_in(mask), _canonical_generators(module, mask))
-
-
 def span(module: FiniteModule, gens) -> Submodule:
     """Smallest submodule containing the given elements."""
     gens = list(gens)
     for g in gens:
         if not module.contains(g):
             raise ValueError(f"element {g!r} is not in {module.descriptor}")
-    return _from_mask(module, _closure(module, gens))
+    return Submodule(module, _closure(module, gens))
 
 
 def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
     """N + K, the join in the submodule lattice."""
     _require_same_module(n, k)
     module = n.module
-    closed = module.mask_of(n.elements)
+    closed = n.mask
     for g in k.generators:
         closed = _grow(module, closed, g)
-    return _from_mask(module, closed)
+    return Submodule(module, closed)
 
 
 def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
     """N intersect K, the meet in the submodule lattice."""
     _require_same_module(n, k)
-    return _from_mask(n.module, n.module.mask_of(n.elements & k.elements))
+    return Submodule(n.module, n.mask & k.mask)
 
 
 # Both ideals below are cZ_n, and a divisor g of n lies in cZ_n iff c | g,
@@ -474,13 +474,12 @@ def colon_ideal(n: Submodule, module: FiniteModule) -> Submodule:
     """(N :_R M) = {r : r*M <= N} as an ideal of the ring."""
     if n.module != module:
         raise ValueError("submodule does not belong to the given module")
-    return module.ring.ideal(_colon_divisor(module, module.mask_of(n.elements)))
+    return module.ring.ideal(_colon_divisor(module, n.mask))
 
 
 def annihilator(n: Submodule) -> Submodule:
     """Ann_R(N) = {r : r*N = 0} as an ideal of the ring."""
-    module = n.module
-    return module.ring.ideal(_annihilator_divisor(module, module.mask_of(n.elements)))
+    return n.module.ring.ideal(_annihilator_divisor(n.module, n.mask))
 
 
 @dataclass(frozen=True)
@@ -568,29 +567,25 @@ def enumerate_submodules(module: FiniteModule, *,
                 queue.append(joined)
 
     # ascending positions list the elements in sorted order
-    masks = sorted(subs, key=bit_positions)
-    return SubmoduleLattice(module, tuple(_from_mask(module, m) for m in masks), masks)
+    return SubmoduleLattice(module, tuple(
+        Submodule(module, m) for m in sorted(subs, key=bit_positions)))
 
 
 class SubmoduleLattice:
     """The full submodule lattice with classification flags.
 
-    `masks[i]` is member i as an int bitmask over the positions of the
-    module's elements (see `FiniteModule.position`), so meet is a mask AND,
-    containment a mask test, and join a search of one order bucket.
-    Second and prime flags, colon and annihilator ideals and the module
-    properties test the masks against the module's gM and (0 :_M g) for
-    each divisor g of n (see the module docstring); the order flags are
-    read off the masks.  Every flag family is computed lazily and cached.
+    Members are indexed by their masks, so meet is a mask AND and a
+    dictionary read, and join a search of one order bucket.  Second and
+    prime flags, colon and annihilator ideals and the module properties
+    test the member masks against the module's gM and (0 :_M g) for each
+    divisor g of n (see the module docstring); the order flags are read
+    off the masks.  Every flag family is computed lazily and cached.
     """
 
-    def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
-                 masks: list[int]):
+    def __init__(self, module: FiniteModule, members: tuple[Submodule, ...]):
         self.module = module
         self.all = members
-        self._index = {s.elements: i for i, s in enumerate(members)}
-        self._mask = masks
-        self._by_mask = {m: i for i, m in enumerate(self._mask)}
+        self._by_mask = {s.mask: i for i, s in enumerate(members)}
         self._by_order: dict[int, list[int]] = {}
         for i, s in enumerate(members):
             self._by_order.setdefault(s.order, []).append(i)
@@ -618,8 +613,10 @@ class SubmoduleLattice:
         return tuple(s for s in self.all if not s.is_zero and not s.is_full)
 
     def index_of(self, sub: Submodule) -> int:
+        if not _same_module(sub.module, self.module):
+            raise ValueError(f"{sub!r} is not in this lattice")
         try:
-            return self._index[sub.elements]
+            return self._by_mask[sub.mask]
         except KeyError:
             raise ValueError(f"{sub!r} is not in this lattice") from None
 
@@ -628,7 +625,7 @@ class SubmoduleLattice:
         # order containing A u B: any other would be a second upper bound
         # of the same order, so it would equal the least one.
         i, j = self.index_of(a), self.index_of(b)
-        mi, mj = self._mask[i], self._mask[j]
+        mi, mj = a.mask, b.mask
         union = mi | mj
         if union == mj:
             return self.all[j]
@@ -636,13 +633,13 @@ class SubmoduleLattice:
             return self.all[i]
         order = mi.bit_count() * mj.bit_count() // (mi & mj).bit_count()
         for k in self._by_order[order]:
-            if self._mask[k] & union == union:
+            if self.all[k].mask & union == union:
                 return self.all[k]
         raise AssertionError("lattice is missing a join")
 
     def meet(self, a: Submodule, b: Submodule) -> Submodule:
-        return self.all[self._by_mask[self._mask[self.index_of(a)]
-                                      & self._mask[self.index_of(b)]]]
+        i, j = self.index_of(a), self.index_of(b)
+        return self.all[self._by_mask[self.all[i].mask & self.all[j].mask]]
 
     def ideal(self, c: int) -> Submodule:
         """The ideal cZ_n, the one member of order n / gcd(c, n); only the
@@ -660,7 +657,7 @@ class SubmoduleLattice:
         i = self.index_of(sub)
         got = self._colon.get(i)
         if got is None:
-            got = self._colon[i] = _colon_divisor(self.module, self._mask[i])
+            got = self._colon[i] = _colon_divisor(self.module, sub.mask)
         return got
 
     def annihilator_divisor(self, sub: Submodule) -> int:
@@ -668,7 +665,7 @@ class SubmoduleLattice:
         i = self.index_of(sub)
         got = self._ann.get(i)
         if got is None:
-            got = self._ann[i] = _annihilator_divisor(self.module, self._mask[i])
+            got = self._ann[i] = _annihilator_divisor(self.module, sub.mask)
         return got
 
     def colon_elements(self, sub: Submodule) -> frozenset:
@@ -682,8 +679,8 @@ class SubmoduleLattice:
     def _second_flags(self) -> list[bool]:
         # gN = N iff N meets (0 :_M g) in 0, and gN = 0 iff N lies in it
         kernels = [self.module.kernel_mask(g) for g in self.module.ring.divisors()]
-        return [mask != 1 and all(mask & k in (1, mask) for k in kernels)
-                for mask in self._mask]
+        return [s.mask != 1 and all(s.mask & k in (1, s.mask) for k in kernels)
+                for s in self.all]
 
     def _prime_flags(self) -> list[bool]:
         # {m : gm in P} contains P and has order |(0 :_M g)| * |P n gM|, so
@@ -693,7 +690,8 @@ class SubmoduleLattice:
         tests = [(module.scaled_mask(g), module.kernel_mask(g).bit_count())
                  for g in module.ring.divisors()]
         out = []
-        for mask in self._mask:
+        for s in self.all:
+            mask = s.mask
             size = mask.bit_count()
             out.append(mask != full and all(
                 image & mask == image or kernel * (image & mask).bit_count() == size
@@ -703,7 +701,7 @@ class SubmoduleLattice:
     def _order_extremes(self, below: bool) -> list[bool]:
         # nonzero proper members with no other one strictly below (above);
         # the candidates most likely to be below (above) are tried first
-        masks = self._mask
+        masks = [s.mask for s in self.all]
         candidates = sorted((i for i, s in enumerate(self.all)
                              if not s.is_zero and not s.is_full),
                             key=lambda i: masks[i].bit_count(), reverse=not below)
@@ -727,22 +725,20 @@ class SubmoduleLattice:
         # meets S nontrivially only inside S: S is large iff it contains
         # them all (when M is simple there are none and M alone is large)
         socle = 0
-        for i, flag in enumerate(self._flags("minimal")):
+        for s, flag in zip(self.all, self._flags("minimal")):
             if flag:
-                socle |= self._mask[i]
-        return [not s.is_zero and self._mask[i] & socle == socle
-                for i, s in enumerate(self.all)]
+                socle |= s.mask
+        return [not s.is_zero and s.mask & socle == socle for s in self.all]
 
     def _small_flags(self) -> list[bool]:
         # every proper submodule lies in a maximal one, so S + T = M for a
         # proper T iff S escapes some maximal: S is small iff it lies in all
         # of them (when M is simple there are none and 0 alone is small)
         radical = (1 << self.module.order) - 1
-        for i, flag in enumerate(self._flags("maximal")):
+        for s, flag in zip(self.all, self._flags("maximal")):
             if flag:
-                radical &= self._mask[i]
-        return [not s.is_full and self._mask[i] & radical == self._mask[i]
-                for i, s in enumerate(self.all)]
+                radical &= s.mask
+        return [not s.is_full and s.mask & radical == s.mask for s in self.all]
 
     def _flags(self, family: str) -> list[bool]:
         """One flag per member for `family` (second, prime, minimal, maximal,
@@ -818,10 +814,9 @@ class SubmoduleLattice:
         reduced = all(scaled(g) & kernel(g) == 1 for g in divs)
         # (N :_R M) = cZ_n gives (N :_R M)M = cM, and Ann_R(N) = aZ_n gives
         # (0 :_M Ann_R(N)) = (0 :_M a)
-        multiplication = all(scaled(self.colon_divisor(s)) == mask
-                             for s, mask in zip(self.all, self._mask))
-        comultiplication = all(kernel(self.annihilator_divisor(s)) == mask
-                               for s, mask in zip(self.all, self._mask))
+        multiplication = all(scaled(self.colon_divisor(s)) == s.mask for s in self.all)
+        comultiplication = all(kernel(self.annihilator_divisor(s)) == s.mask
+                               for s in self.all)
         # the ideals of Z_n are the dZ_n, and (0 :_M dZ_n) = (0 :_M d)
         dac = all(_annihilator_divisor(module, kernel(d)) == d for d in divs)
         faithful = self.annihilator_divisor(self.top) == n
@@ -845,18 +840,15 @@ def second_socle(n: Submodule, lattice: SubmoduleLattice) -> Submodule:
     """Sum of all second submodules contained in N; zero if none."""
     out = lattice.zero
     for s in lattice.seconds():
-        if s.elements <= n.elements:
+        if s <= n:
             out = lattice.join(out, s)
     return out
 
 
-def prime_radical(module: FiniteModule, lattice: SubmoduleLattice) -> Submodule:
+def prime_radical(lattice: SubmoduleLattice) -> Submodule:
     """Intersection of all prime submodules; the whole module if none."""
-    primes = lattice.primes()
-    if not primes:
-        return lattice.top
     out = lattice.top
-    for p in primes:
+    for p in lattice.primes():
         out = lattice.meet(out, p)
     return out
 

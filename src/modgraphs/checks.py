@@ -108,7 +108,7 @@ SSI_SIDE = Side(
     flagged=lambda inst: inst.seconds, core_of=lambda inst: inst.sec_socle,
     ideal_of=lambda inst, sub: inst.ann_ideal(sub),
     meet=lambda lat, a, b: lat.meet(a, b), join=lambda lat, a, b: lat.join(a, b),
-    below=lambda a, b: a.elements < b.elements,
+    below=lambda a, b: a < b,
     is_bottom=lambda sub: sub.is_zero, is_top=lambda sub: sub.is_full,
     plain=lambda props: props.coreduced,
     transfers=lambda props: props.comultiplication,
@@ -125,7 +125,7 @@ PSS_SIDE = Side(
     flagged=lambda inst: inst.primes, core_of=lambda inst: inst.radical,
     ideal_of=lambda inst, sub: inst.colon_of(sub),
     meet=lambda lat, a, b: lat.join(a, b), join=lambda lat, a, b: lat.meet(a, b),
-    below=lambda a, b: b.elements < a.elements,
+    below=lambda a, b: b < a,
     is_bottom=lambda sub: sub.is_full, is_top=lambda sub: sub.is_zero,
     plain=lambda props: props.reduced,
     transfers=lambda props: props.multiplication,
@@ -139,7 +139,7 @@ def _labels(subs) -> list:
 
 
 def _comparable(a, b) -> bool:
-    return a.elements <= b.elements or b.elements <= a.elements
+    return a <= b or b <= a
 
 
 def _always(side, inst):

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 failed strict checks (with --strict) or findings
-(with --fail-on-findings), 2 descriptor/usage errors, 3 size-guard stops.
+(with --fail-on-findings), 2 descriptor/usage errors or an unwritable --out
+file, 3 size-guard stops.
 """
 from __future__ import annotations
 
@@ -204,7 +205,7 @@ def dispatch(argv) -> int:
         return int(code) if code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except DescriptorError as exc:
+    except (DescriptorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeGuardError as exc:

@@ -72,7 +72,7 @@ class SimpleGraph:
         for i, j in self._edges:
             self._adj[i] |= 1 << j
             self._adj[j] |= 1 << i
-        self._by_elements = {v.submodule.elements: v.index for v in vertices}
+        self._vertex_index = {v.submodule: v.index for v in vertices}
 
     @property
     def vertex_count(self) -> int:
@@ -97,12 +97,12 @@ class SimpleGraph:
     def vertex_for(self, sub: Submodule) -> GraphVertex:
         """The vertex carrying this submodule (or this ideal)."""
         try:
-            return self.vertices[self._by_elements[sub.elements]]
+            return self.vertices[self._vertex_index[sub]]
         except KeyError:
             raise ValueError(f"{sub!r} is not a vertex of this graph") from None
 
     def has_vertex(self, sub: Submodule) -> bool:
-        return sub.elements in self._by_elements
+        return sub in self._vertex_index
 
     def __repr__(self):
         return (f"SimpleGraph({self.kind}, {self.module.descriptor}, "
@@ -164,8 +164,7 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
     divisor = (lattice.colon_divisor if kind is GraphKind.PSS_TILDE
                else lattice.annihilator_divisor)
     picked = {ring_lattice.ideal(divisor(s)) for s in lattice.all}
-    ideals = sorted((i for i in picked if not i.is_zero and not i.is_full),
-                    key=Submodule.sort_key)
+    ideals = [i for i in ring_lattice.proper_nonzero() if i in picked]
     return _pair_graph(kind, module, ring_lattice, ideals, "R")
 
 

@@ -93,7 +93,7 @@ class Instance:
 
     @cached_property
     def radical(self) -> Submodule:
-        return prime_radical(self.module, self.lattice)
+        return prime_radical(self.lattice)
 
     @property
     def props(self):

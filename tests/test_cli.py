@@ -60,6 +60,16 @@ def test_ideal_graph_on_module_is_an_error(capsys):
     assert "ideal graph" in err
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli("enumerate", "--module", "Z6", "--out", str(target),
+                             capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
+
+
 def test_unknown_graph_kind_is_usage_error(capsys):
     code, _, _ = run_cli("graph", "--module", "Z12", "--kind", "zzz",
                          capsys=capsys)
@@ -268,6 +278,13 @@ def test_installed_script_roundtrip():
         capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph ssi {")
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "modgraphs", "enumerate", "--module", "Z6"],
+                          capture_output=True, text=True, timeout=60, env=child_env())
+    assert_enumerates_z6(proc)
+    assert proc.stderr == ""
 
 
 def test_console_script_entrypoint():

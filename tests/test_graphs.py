@@ -11,9 +11,11 @@ from modgraphs import (
     GraphKind,
     algebra,
     build_graph,
+    enumerate_submodules,
     export_graph,
     graph_metrics,
     parse_descriptor,
+    span,
 )
 
 INF = math.inf
@@ -106,6 +108,26 @@ def test_vertex_lookup(z12):
     assert not g.has_vertex(z12.lattice.zero)
     with pytest.raises(ValueError):
         g.vertex_for(z12.lattice.zero)
+
+
+def test_submodules_of_another_module_are_never_found():
+    # <(1,0)> in Z2xZ3 sits at positions 0 and 3, as 3M does in Z6, so a
+    # lookup by mask alone would take one for the other
+    _, z6 = parse_descriptor("Z6")
+    _, z2z3 = parse_descriptor("Z2xZ3")
+    foreign = span(z2z3, [(1, 0)])
+    three_m = span(z6, [(3,)])
+    assert z2z3.mask_of(foreign.elements) == z6.mask_of(three_m.elements)
+    assert foreign != three_m
+    lattice = enumerate_submodules(z6)
+    with pytest.raises(ValueError):
+        lattice.index_of(foreign)
+    with pytest.raises(ValueError):
+        lattice.join(three_m, foreign)
+    g = build_graph("ssi", z6)
+    assert g.has_vertex(three_m) and not g.has_vertex(foreign)
+    with pytest.raises(ValueError):
+        g.vertex_for(foreign)
 
 
 def test_neighbors_and_degrees(z12):
