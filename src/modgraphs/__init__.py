@@ -18,17 +18,12 @@ from .algebra import (
     Submodule,
     SubmoduleFlags,
     SubmoduleLattice,
-    annihilator,
-    colon_ideal,
     divisors,
     enumerate_submodules,
-    ideal_divisor,
     parse_descriptor,
     prime_radical,
     second_socle,
     span,
-    submodule_intersection,
-    submodule_sum,
 )
 from .checks import CHECKS, CHECKS_BY_ID, Check, CheckResult, evaluate_check
 from .cli import dispatch, main
@@ -74,9 +69,7 @@ __all__ = [
     "Submodule",
     "SubmoduleFlags",
     "SubmoduleLattice",
-    "annihilator",
     "build_graph",
-    "colon_ideal",
     "dispatch",
     "divisors",
     "enumerate_submodules",
@@ -84,7 +77,6 @@ __all__ = [
     "export_graph",
     "generate_family",
     "graph_metrics",
-    "ideal_divisor",
     "main",
     "parse_descriptor",
     "prime_radical",
@@ -92,6 +84,4 @@ __all__ = [
     "second_socle",
     "select_checks",
     "span",
-    "submodule_intersection",
-    "submodule_sum",
 ]

@@ -11,21 +11,21 @@ the module (see `FiniteModule.position`).  Equality, containment, meet
 and order are mask arithmetic, and the element set is derived from the
 mask only where a listing is printed.
 
-Every quantifier over the ring runs over the divisors of n only.  Any
-r in Z_n is u*g with g = gcd(r, n) and u a unit, and a unit maps every
-submodule onto itself, so r and g scale each submodule to the same image
-and kill the same elements: rN = gN and (0 :_N r) = (0 :_N g).  The
-module caches gM and (0 :_M g) as masks, one pair per divisor, so the
-second and prime flags, colon and annihilator ideals and the module
-properties are mask tests over the d(n) divisors, and meet, join and the
-order flags (minimal, maximal, large, small) are read off the masks and
-the member orders.
+Every module is a finite abelian group, so each classification is a
+fact about a number.  N is second iff its exponent, the c with
+Ann_R(N) = cZ_n, is a prime; P is prime iff M/P has prime exponent, the
+c with (P :_R M) = cZ_n; N is minimal iff |N| is prime and maximal iff
+|M/N| is; and the module properties are facts about |M|, exp(M) and n.
+Those two ideals are found over the divisors of n only: any r in Z_n
+is u*g with g = gcd(r, n) and u a unit, and a unit maps every submodule
+onto itself, so rN = gN and (0 :_N r) = (0 :_N g).  The module caches gM
+and (0 :_M g) as masks, one pair per divisor.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from itertools import product as _cartesian
 
 Element = tuple[int, ...]
@@ -53,6 +53,17 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 _ATOM_RE = re.compile(r"^Z([0-9]+)$")
@@ -97,10 +108,6 @@ class Ring:
         if self._module is None:
             self._module = FiniteModule(self, (self.modulus,))
         return self._module
-
-    def ideal(self, d: int) -> "Submodule":
-        """The ideal generated by d, i.e. gcd(d, n)Z_n."""
-        return span(self.as_module(), [(d % self.modulus,)])
 
     def lattice(self, *, max_order: int = MAX_MODULE_ORDER,
                 max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
@@ -154,10 +161,6 @@ class FiniteModule:
     @property
     def exponent(self) -> int:
         return lcm(*self.invariant_factors)
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariant_factors)
 
     @property
     def zero(self) -> Element:
@@ -434,54 +437,6 @@ def span(module: FiniteModule, gens) -> Submodule:
     return Submodule(module, _closure(module, gens))
 
 
-def submodule_sum(n: Submodule, k: Submodule) -> Submodule:
-    """N + K, the join in the submodule lattice."""
-    _require_same_module(n, k)
-    module = n.module
-    closed = n.mask
-    for g in k.generators:
-        closed = _grow(module, closed, g)
-    return Submodule(module, closed)
-
-
-def submodule_intersection(n: Submodule, k: Submodule) -> Submodule:
-    """N intersect K, the meet in the submodule lattice."""
-    _require_same_module(n, k)
-    return Submodule(n.module, n.mask & k.mask)
-
-
-# Both ideals below are cZ_n, and a divisor g of n lies in cZ_n iff c | g,
-# so c is the least divisor that passes the test; n (residue 0) always does.
-
-def _colon_divisor(module: FiniteModule, mask: int) -> int:
-    """The c with (N :_R M) = cZ_n, for N given by its mask: least gM <= N."""
-    scaled = module.scaled_mask
-    return next(g for g in module.ring.divisors() if scaled(g) & mask == scaled(g))
-
-
-def _annihilator_divisor(module: FiniteModule, mask: int) -> int:
-    """The c with Ann_R(N) = cZ_n, for N given by its mask: least N <= (0 :_M g)."""
-    kernel = module.kernel_mask
-    return next(g for g in module.ring.divisors() if mask & kernel(g) == mask)
-
-
-def ideal_divisor(ideal: Submodule) -> int:
-    """The divisor d with ideal = dZ_n; the zero ideal reports n."""
-    return ideal.module.ring.modulus // ideal.order
-
-
-def colon_ideal(n: Submodule, module: FiniteModule) -> Submodule:
-    """(N :_R M) = {r : r*M <= N} as an ideal of the ring."""
-    if n.module != module:
-        raise ValueError("submodule does not belong to the given module")
-    return module.ring.ideal(_colon_divisor(module, n.mask))
-
-
-def annihilator(n: Submodule) -> Submodule:
-    """Ann_R(N) = {r : r*N = 0} as an ideal of the ring."""
-    return n.module.ring.ideal(_annihilator_divisor(n.module, n.mask))
-
-
 @dataclass(frozen=True)
 class SubmoduleFlags:
     is_prime: bool
@@ -575,11 +530,15 @@ class SubmoduleLattice:
     """The full submodule lattice with classification flags.
 
     Members are indexed by their masks, so meet is a mask AND and a
-    dictionary read, and join a search of one order bucket.  Second and
-    prime flags, colon and annihilator ideals and the module properties
-    test the member masks against the module's gM and (0 :_M g) for each
-    divisor g of n (see the module docstring); the order flags are read
-    off the masks.  Every flag family is computed lazily and cached.
+    dictionary read, and join a search of one order bucket.  The colon
+    and annihilator ideals cZ_n are found by testing the member's mask
+    against the module's gM and (0 :_M g) for each divisor g of n.  The
+    flags are primality tests on numbers the lattice already has (see
+    the module docstring): second and prime on those two ideal divisors,
+    minimal and maximal on |N| and |M/N|; large and small are read off the
+    minimal and maximal masks.  The module properties are facts about |M|,
+    exp(M) and n, apart from hollow and uniform, which read the small and
+    large flags.  Every flag family is computed lazily and cached.
     """
 
     def __init__(self, module: FiniteModule, members: tuple[Submodule, ...]):
@@ -652,20 +611,29 @@ class SubmoduleLattice:
 
     # -- classification flags ------------------------------------------
 
+    # Both ideals below are cZ_n, and a divisor g of n lies in cZ_n iff c | g,
+    # so c is the least divisor that passes the test; n (residue 0) always does.
+
     def colon_divisor(self, sub: Submodule) -> int:
-        """The c with (sub :_R M) = cZ_n."""
+        """The c with (sub :_R M) = cZ_n: the least g with gM <= sub,
+        which is the exponent of M/sub."""
         i = self.index_of(sub)
         got = self._colon.get(i)
         if got is None:
-            got = self._colon[i] = _colon_divisor(self.module, sub.mask)
+            scaled, mask = self.module.scaled_mask, sub.mask
+            got = self._colon[i] = next(g for g in self.module.ring.divisors()
+                                        if scaled(g) & mask == scaled(g))
         return got
 
     def annihilator_divisor(self, sub: Submodule) -> int:
-        """The c with Ann_R(sub) = cZ_n."""
+        """The c with Ann_R(sub) = cZ_n: the least g with sub <= (0 :_M g),
+        which is the exponent of sub."""
         i = self.index_of(sub)
         got = self._ann.get(i)
         if got is None:
-            got = self._ann[i] = _annihilator_divisor(self.module, sub.mask)
+            kernel, mask = self.module.kernel_mask, sub.mask
+            got = self._ann[i] = next(g for g in self.module.ring.divisors()
+                                      if mask & kernel(g) == mask)
         return got
 
     def colon_elements(self, sub: Submodule) -> frozenset:
@@ -677,48 +645,24 @@ class SubmoduleLattice:
         return frozenset(range(0, self.module.ring.modulus, self.annihilator_divisor(sub)))
 
     def _second_flags(self) -> list[bool]:
-        # gN = N iff N meets (0 :_M g) in 0, and gN = 0 iff N lies in it
-        kernels = [self.module.kernel_mask(g) for g in self.module.ring.divisors()]
-        return [s.mask != 1 and all(s.mask & k in (1, s.mask) for k in kernels)
-                for s in self.all]
+        # rN = N iff r is prime to exp(N), and rN = 0 iff exp(N) | r; every r
+        # does one or the other iff exp(N) is a prime (N = 0 has exponent 1)
+        return [_is_prime(self.annihilator_divisor(s)) for s in self.all]
 
     def _prime_flags(self) -> list[bool]:
-        # {m : gm in P} contains P and has order |(0 :_M g)| * |P n gM|, so
-        # it equals P iff those orders agree; gM <= P exempts g instead
-        module = self.module
-        full = (1 << module.order) - 1
-        tests = [(module.scaled_mask(g), module.kernel_mask(g).bit_count())
-                 for g in module.ring.divisors()]
-        out = []
-        for s in self.all:
-            mask = s.mask
-            size = mask.bit_count()
-            out.append(mask != full and all(
-                image & mask == image or kernel * (image & mask).bit_count() == size
-                for image, kernel in tests))
-        return out
-
-    def _order_extremes(self, below: bool) -> list[bool]:
-        # nonzero proper members with no other one strictly below (above);
-        # the candidates most likely to be below (above) are tried first
-        masks = [s.mask for s in self.all]
-        candidates = sorted((i for i, s in enumerate(self.all)
-                             if not s.is_zero and not s.is_full),
-                            key=lambda i: masks[i].bit_count(), reverse=not below)
-        out = [False] * len(self.all)
-        for i in candidates:
-            mi = masks[i]
-            if below:
-                out[i] = not any(masks[j] & mi == masks[j] != mi for j in candidates)
-            else:
-                out[i] = not any(masks[j] & mi == mi != masks[j] for j in candidates)
-        return out
+        # dually, r acts on M/P as 0 or injectively for every r iff exp(M/P)
+        # is a prime (P = M has exponent 1)
+        return [_is_prime(self.colon_divisor(s)) for s in self.all]
 
     def _minimal_flags(self) -> list[bool]:
-        return self._order_extremes(below=True)
+        # a group of composite order has a subgroup of prime order; M itself
+        # is never minimal, so a simple M has no minimal submodule
+        return [not s.is_full and _is_prime(s.order) for s in self.all]
 
     def _maximal_flags(self) -> list[bool]:
-        return self._order_extremes(below=False)
+        # dually, a quotient of composite order has a proper nonzero subgroup
+        order = self.module.order
+        return [not s.is_zero and _is_prime(order // s.order) for s in self.all]
 
     def _large_flags(self) -> list[bool]:
         # every nonzero submodule contains a minimal one, and a minimal one
@@ -806,30 +750,26 @@ class SubmoduleLattice:
 
     def _compute_properties(self) -> ModuleProperties:
         module = self.module
-        n = module.ring.modulus
-        divs = module.ring.divisors()
-        scaled, kernel = module.scaled_mask, module.kernel_mask
-
-        coreduced = all(scaled(g) == scaled(g * g) for g in divs)
-        reduced = all(scaled(g) & kernel(g) == 1 for g in divs)
-        # (N :_R M) = cZ_n gives (N :_R M)M = cM, and Ann_R(N) = aZ_n gives
-        # (0 :_M Ann_R(N)) = (0 :_M a)
-        multiplication = all(scaled(self.colon_divisor(s)) == s.mask for s in self.all)
-        comultiplication = all(kernel(self.annihilator_divisor(s)) == s.mask
-                               for s in self.all)
-        # the ideals of Z_n are the dZ_n, and (0 :_M dZ_n) = (0 :_M d)
-        dac = all(_annihilator_divisor(module, kernel(d)) == d for d in divs)
-        faithful = self.annihilator_divisor(self.top) == n
+        n, e = module.ring.modulus, module.exponent
+        # rM = r^2 M and rM n (0 :_M r) = 0 for every r iff no p^2 divides e
+        squarefree = all(e % (d * d) for d in range(2, isqrt(e) + 1))
+        # every submodule is some cM, and some (0 :_M c), iff M is cyclic: a
+        # rank-2 p-part has p + 1 subgroups of order p, but there is at most
+        # one cM and one (0 :_M c) of each order
+        cyclic = module.order == e
+        # Ann_R(M) = eZ_n, and Ann_R((0 :_M d)) = gcd(d, e)Z_n is dZ_n for
+        # every d | n iff e = n, so faithful and dac are one condition
+        faithful = e == n
         hollow = all(self.is_small(s) for s in self.all if not s.is_full)
         uniform = all(self.is_large(s) for s in self.all if not s.is_zero)
 
         return ModuleProperties(
-            coreduced=coreduced,
-            reduced=reduced,
-            multiplication=multiplication,
-            comultiplication=comultiplication,
-            dac=dac,
-            strong_comultiplication=comultiplication and dac,
+            coreduced=squarefree,
+            reduced=squarefree,
+            multiplication=cyclic,
+            comultiplication=cyclic,
+            dac=faithful,
+            strong_comultiplication=cyclic and faithful,
             faithful=faithful,
             hollow=hollow,
             uniform=uniform,

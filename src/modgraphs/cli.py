@@ -7,6 +7,7 @@ file, 3 size-guard stops.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -115,18 +116,7 @@ def _cmd_classify(args) -> int:
     _ring, module = parse_descriptor(args.module, args.ring)
     inst = Instance(module, max_order=args.max_order)
     lat = inst.lattice
-    props = inst.props
-    prop_items = [
-        ("coreduced", props.coreduced),
-        ("reduced", props.reduced),
-        ("multiplication", props.multiplication),
-        ("comultiplication", props.comultiplication),
-        ("dac", props.dac),
-        ("strong_comultiplication", props.strong_comultiplication),
-        ("faithful", props.faithful),
-        ("hollow", props.hollow),
-        ("uniform", props.uniform),
-    ]
+    prop_items = dataclasses.asdict(inst.props).items()
     rows = []
     for s in lat.all:
         flags = lat.flags(s)
@@ -215,7 +205,3 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     raise SystemExit(dispatch(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -27,6 +27,7 @@ from .algebra import (
     FiniteModule,
     Ring,
     Submodule,
+    _is_prime,
     module_lattice,
     parse_descriptor,
     prime_radical,
@@ -133,17 +134,6 @@ _CYCLIC_RE = re.compile(r"^cyclic:([0-9]+)\.\.([0-9]+)$")
 _PRODUCT_RE = re.compile(r"^product:ab<=([0-9]+)$")
 _VECTOR_RE = re.compile(r"^vector:([0-9]+)\^([0-9]+)$")
 _ZMOD_RE = re.compile(r"^zmod:([A-Za-z0-9x]+)(?:/([A-Za-z0-9]+))?$")
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _expand_item(item: str):

@@ -13,15 +13,10 @@ from modgraphs import (
     FiniteModule,
     Ring,
     SizeGuardError,
-    annihilator,
-    colon_ideal,
     enumerate_submodules,
-    ideal_divisor,
     parse_descriptor,
     second_socle,
     span,
-    submodule_intersection,
-    submodule_sum,
 )
 
 
@@ -50,11 +45,12 @@ class TestFrozenZ12:
 
     def test_colon_and_annihilator_ideals(self, z12):
         lat = z12.lattice
-        assert ideal_divisor(annihilator(by_label(lat, "6M"))) == 2
-        assert ideal_divisor(annihilator(by_label(lat, "2M"))) == 6
-        assert ideal_divisor(colon_ideal(by_label(lat, "2M"), z12.module)) == 2
-        zero_colon = colon_ideal(lat.zero, z12.module)
-        assert zero_colon.is_zero and ideal_divisor(zero_colon) == 12
+        assert lat.annihilator_divisor(by_label(lat, "6M")) == 2
+        assert lat.annihilator_divisor(by_label(lat, "2M")) == 6
+        assert lat.colon_divisor(by_label(lat, "2M")) == 2
+        assert lat.colon_divisor(lat.zero) == 12
+        zero_colon = z12.ring_lattice.ideal(lat.colon_divisor(lat.zero))
+        assert zero_colon.is_zero
 
     def test_properties(self, z12):
         p = z12.props
@@ -165,7 +161,9 @@ def test_subgroup_counts_are_symmetric_in_the_order(module_text, size):
 
 FLAG_SAMPLE = [("Z12", None), ("Z16", None), ("Z30", None),
                ("Z2xZ4", "Z4"), ("Z3xZ9", None), ("Z2xZ2xZ2", "Z2"),
-               ("Z2xZ2xZ4", None), ("Z2xZ4", "Z24"), ("Z6", "Z36")]
+               ("Z2xZ2xZ4", None), ("Z2xZ4", "Z24"), ("Z6", "Z36"),
+               ("Z2xZ6", None), ("Z5xZ25", None), ("Z2xZ2xZ2", "Z4"),
+               ("Z3xZ3", "Z9"), ("Z2xZ3", None)]
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -249,12 +247,12 @@ def test_second_socle_of_single_submodule(z12):
 # ------------------------------------------------------ span and lattice ops
 
 def test_span_and_ops_on_z12(z12):
-    mod = z12.module
+    mod, lat = z12.module, z12.lattice
     a = span(mod, [(4,)])
     b = span(mod, [(6,)])
     assert a.order == 3 and b.order == 2
-    assert submodule_sum(a, b).label() == "2M"
-    assert submodule_intersection(a, b).is_zero
+    assert lat.join(a, b).label() == "2M"
+    assert lat.meet(a, b).is_zero
 
 
 def test_span_rejects_foreign_elements(z12):
@@ -264,7 +262,7 @@ def test_span_rejects_foreign_elements(z12):
 
 def test_ops_reject_mixed_modules(z12, z6):
     with pytest.raises(ValueError):
-        submodule_sum(z12.lattice.zero, z6.lattice.zero)
+        z12.lattice.join(z12.lattice.zero, z6.lattice.zero)
 
 
 def test_labels_on_noncyclic_submodules(z2z4):

@@ -273,11 +273,12 @@ def assert_enumerates_z6(proc):
 
 def test_installed_script_roundtrip():
     proc = subprocess.run(
-        [sys.executable, "-m", "modgraphs.cli", "graph", "--module", "Z12",
+        [sys.executable, "-m", "modgraphs", "graph", "--module", "Z12",
          "--kind", "ssi"],
         capture_output=True, text=True, timeout=60, env=child_env())
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph ssi {")
+    assert proc.stderr == ""
 
 
 def test_package_runs_as_a_module():
