@@ -3,8 +3,9 @@
 A module here is a direct sum of cyclic groups Z_{d_1} x ... x Z_{d_k}
 acted on by Z_n, where every d_i divides n.  Elements are residue tuples,
 the action is coordinatewise multiplication.  Because the action factors
-through repeated addition, every additive subgroup is a submodule, which
-keeps enumeration exact and cheap at the orders we care about.
+through repeated addition, every additive subgroup is a submodule.  So
+enumeration lists the cyclic subgroups and climbs from 0 along the covers
+of the subgroup lattice, which are exactly its steps of prime index.
 
 A submodule is its mask: an int with one bit per element position of
 the module (see `FiniteModule.position`).  Equality, containment, meet
@@ -134,8 +135,8 @@ class Ring:
 class FiniteModule:
     """A finite Z_n-module given as Z_{d_1} x ... x Z_{d_k}, each d_i | n."""
 
-    __slots__ = ("ring", "invariant_factors", "_elements", "_scaled", "_kernels",
-                 "_repeats")
+    __slots__ = ("ring", "invariant_factors", "order", "_elements", "_scaled",
+                 "_kernels", "_repeats")
 
     def __init__(self, ring: Ring, invariant_factors: tuple[int, ...]):
         factors = tuple(invariant_factors)
@@ -149,14 +150,11 @@ class FiniteModule:
                     f"invariant factor {d} does not divide the ring modulus {ring.modulus}")
         self.ring = ring
         self.invariant_factors = factors
+        self.order = prod(factors)
         self._elements = None
         self._scaled = {}
         self._kernels = {}
         self._repeats = {}
-
-    @property
-    def order(self) -> int:
-        return prod(self.invariant_factors)
 
     @property
     def exponent(self) -> int:
@@ -189,13 +187,6 @@ class FiniteModule:
         for a, d in zip(x, self.invariant_factors):
             p = p * d + a
         return p
-
-    def mask_of(self, elements) -> int:
-        """Bitmask over element positions with one bit per element."""
-        mask = 0
-        for x in elements:
-            mask |= 1 << self.position(x)
-        return mask
 
     def elements_in(self, mask: int) -> frozenset:
         """The elements whose position bits are set in mask."""
@@ -414,10 +405,10 @@ def _canonical_generators(module: FiniteModule, mask: int) -> tuple[Element, ...
     els = module.elements()
     gens: list[Element] = []
     closed = 1
-    for p in bit_positions(mask):
-        if not closed >> p & 1:
-            gens.append(els[p])
-            closed = _grow(module, closed, els[p])
+    while rest := mask & ~closed:
+        g = els[(rest & -rest).bit_length() - 1]  # the lowest element not yet spanned
+        gens.append(g)
+        closed = _grow(module, closed, g)
     pruned = list(gens)
     for g in gens:
         if len(pruned) == 1:
@@ -474,46 +465,47 @@ def module_lattice(module: FiniteModule, *,
 def enumerate_submodules(module: FiniteModule, *,
                          max_order: int = MAX_MODULE_ORDER,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
-    """Every submodule of M: the cyclic ones, closed under adding a cyclic summand.
+    """Every submodule of M, climbed to from 0 one cover at a time.
 
-    Cyclic spans are collected once per cyclic submodule (all other
-    generators of the same walk are skipped).  Every submodule is a sum
-    of cyclic ones, so adding one cyclic summand at a time to each member
-    found, until nothing new appears, reaches them all.  A summand that
-    is comparable with the member cannot give anything new and is skipped
-    without a grow, which leaves chain lattices free of grows.
+    The cyclic submodules are listed first, once each, under their
+    generator of lowest position.  Then each member a found is grown by
+    the cyclic ones that give a cover of it, those <g> with
+    |<g>| / |a n <g>| prime, which makes one grow per edge of the Hasse
+    diagram.
     """
     if module.order > max_order:
         raise SizeGuardError(
             f"module order {module.order} exceeds the guard {max_order}")
-    zero = module.zero
-    add = module.add
+    els = module.elements()
+    primes = {q for q in divisors(module.exponent) if _is_prime(q)}
     cyclic: list[tuple[Element, int, int]] = []  # generator, its bit, span mask
-    seen = {zero}
-    for x in module.elements():
-        if x in seen:
-            continue
-        multiples = []
-        cur = x
-        while cur != zero:
-            multiples.append(cur)
-            cur = add(cur, x)
-        m = len(multiples) + 1
-        cyclic.append((x, 1 << module.position(x), module.mask_of([zero, *multiples])))
-        for k in range(1, m):
-            if gcd(k, m) == 1:
-                seen.add(multiples[k - 1])
+    seen = 1  # the generators of the cyclic spans so far, and zero
+    while (p := (~seen & (seen + 1)).bit_length() - 1) < module.order:
+        x = els[p]
+        c = gens = _grow(module, 1, x)
+        # y generates <x> iff it lies in no maximal subgroup <qx>, q prime
+        for q in primes:
+            if c.bit_count() % q == 0:
+                gens &= ~_grow(module, 1, module.scale(q, x))
+        seen |= gens
+        cyclic.append((x, 1 << p, c))
 
-    subs = {1, *(c for _, _, c in cyclic)}
-    if len(subs) > max_lattice:
-        raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
-    queue = list(subs)
+    # Every subgroup of a finite abelian group is reached from 0 by steps of
+    # prime index, and such a step a -> J is a + <y> for every y in J \ a,
+    # the listed generator of <y> among them.  So growing a by the <g> with
+    # |a + <g>| / |a| = |<g>| / |a n <g>| prime finds every cover of a, and
+    # skipping each g inside a cover already found (`done`) grows each
+    # cover once: one grow per Hasse edge.
+    subs = {1}
+    queue = [1]
     while queue:
         a = queue.pop()
+        done = a
         for g, bit, c in cyclic:
-            if a & bit or a & c == a:
+            if done & bit or c.bit_count() // (a & c).bit_count() not in primes:
                 continue
             joined = _grow(module, a, g)
+            done |= joined
             if joined not in subs:
                 subs.add(joined)
                 if len(subs) > max_lattice:

@@ -17,6 +17,10 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def is_prime(n):
+    return n > 1 and all(n % d for d in range(2, n))
+
+
 def elements_of(factors):
     return [tuple(x) for x in cartesian(*(range(d) for d in factors))]
 
@@ -148,9 +152,18 @@ def all_triples_subgroups(factors):
             for triple in combinations_with_replacement(els, 3)}
 
 
-def gaussian_subspace_total(p):
-    # 1 + [3:1]_p + [3:2]_p + 1 with both middle counts p^2 + p + 1
-    return 2 + 2 * (p * p + p + 1)
+def gaussian_binomial(p, k, j):
+    """[k:j]_p, the number of j-dimensional subspaces of F_p^k."""
+    num = den = 1
+    for i in range(j):
+        num *= p ** (k - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def gaussian_subspace_total(p, k):
+    """All subspaces of F_p^k: the sum of [k:j]_p over j = 0..k."""
+    return sum(gaussian_binomial(p, k, j) for j in range(k + 1))
 
 
 # ---- brute-force flags on package objects (raw loops, no lattice flags)

@@ -18,6 +18,7 @@ from modgraphs import (
     second_socle,
     span,
 )
+from modgraphs import algebra
 
 
 def by_label(lattice, label):
@@ -136,7 +137,40 @@ def test_vector_space_lattices_match_rref(p):
     inst = make_instance(f"Z{p}xZ{p}xZ{p}", f"Z{p}")
     expected = helpers.rref_subspaces(p)
     assert {s.elements for s in inst.lattice.all} == expected
-    assert len(inst.lattice) == helpers.gaussian_subspace_total(p)
+    assert len(inst.lattice) == helpers.gaussian_subspace_total(p, 3)
+
+
+@pytest.mark.parametrize("p,k,size", [(2, 4, 67), (2, 5, 374), (2, 6, 2825), (3, 4, 212)])
+def test_vector_space_lattice_sizes_match_gaussian_binomials(p, k, size):
+    # F_p^k has [k:j]_p subspaces of dimension j
+    _, module = parse_descriptor("x".join([f"Z{p}"] * k), f"Z{p}")
+    lat = enumerate_submodules(module)
+    assert len(lat) == helpers.gaussian_subspace_total(p, k) == size
+    counts = Counter(s.order for s in lat.all)
+    assert counts == {p ** j: helpers.gaussian_binomial(p, k, j) for j in range(k + 1)}
+
+
+@pytest.mark.parametrize("module_text,ring_text", [("Z2xZ2xZ2xZ2xZ2", "Z2"),
+                                                   ("Z4xZ4xZ4", None), ("Z720", None)])
+def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
+    # Enumeration spans each cyclic submodule <x> and its maximal subgroups
+    # <qx>, q a prime dividing |<x>|, then climbs the lattice from 0 with
+    # one grow per cover pair a < b, |b|/|a| prime.  Generators are not
+    # picked here, so every grow counted is one of those.
+    grow, calls = algebra._grow, []
+    monkeypatch.setattr(algebra, "_canonical_generators", lambda module, mask: ())
+    monkeypatch.setattr(algebra, "_grow",
+                        lambda module, closed, g: calls.append(g) or grow(module, closed, g))
+    _, module = parse_descriptor(module_text, ring_text)
+    masks = [s.mask for s in enumerate_submodules(module).all]
+    covers = sum(1 for a in masks for b in masks
+                 if a & b == a != b and helpers.is_prime(b.bit_count() // a.bit_count()))
+    factors = module.invariant_factors
+    cyclic = {helpers.close_under_addition([x], factors)
+              for x in helpers.elements_of(factors)} - {frozenset([module.zero])}
+    spans = sum(1 + sum(1 for q in helpers.divisors(len(c)) if helpers.is_prime(q))
+                for c in cyclic)
+    assert len(calls) == spans + covers
 
 
 @pytest.mark.parametrize("module_text,size", [("Z2xZ2xZ4", 27)])
@@ -163,7 +197,7 @@ FLAG_SAMPLE = [("Z12", None), ("Z16", None), ("Z30", None),
                ("Z2xZ4", "Z4"), ("Z3xZ9", None), ("Z2xZ2xZ2", "Z2"),
                ("Z2xZ2xZ4", None), ("Z2xZ4", "Z24"), ("Z6", "Z36"),
                ("Z2xZ6", None), ("Z5xZ25", None), ("Z2xZ2xZ2", "Z4"),
-               ("Z3xZ3", "Z9"), ("Z2xZ3", None)]
+               ("Z3xZ3", "Z9"), ("Z2xZ3", None), ("Z3", None), ("Z5", "Z25")]
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -231,7 +265,8 @@ def test_minimal_implies_second_and_maximal_implies_prime(module_text, ring_text
 def test_second_socle_is_sum_of_minimals(module_text, ring_text):
     inst = make_instance(module_text, ring_text)
     lat = inst.lattice
-    total = lat.zero
+    # a simple M is second and has no minimal submodule
+    total = lat.zero if inst.minimals else lat.top
     for s in inst.minimals:
         total = lat.join(total, s)
     assert second_socle(lat.top, lat) == total
@@ -322,7 +357,8 @@ def test_lattice_size_guard():
 
 
 def test_lattice_size_guard_counts_cyclic_submodules():
-    # all 30 submodules of Z720 are cyclic, so no sum ever adds a member
+    # all 30 submodules of Z720 are cyclic, and the climb from 0 meets
+    # more than 10 of them
     _, module = parse_descriptor("Z720")
     with pytest.raises(SizeGuardError):
         enumerate_submodules(module, max_lattice=10)

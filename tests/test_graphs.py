@@ -117,7 +117,7 @@ def test_submodules_of_another_module_are_never_found():
     _, z2z3 = parse_descriptor("Z2xZ3")
     foreign = span(z2z3, [(1, 0)])
     three_m = span(z6, [(3,)])
-    assert z2z3.mask_of(foreign.elements) == z6.mask_of(three_m.elements)
+    assert foreign.mask == three_m.mask
     assert foreign != three_m
     lattice = enumerate_submodules(z6)
     with pytest.raises(ValueError):
