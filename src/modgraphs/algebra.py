@@ -21,12 +21,18 @@ Those two ideals are found over the divisors of n only: any r in Z_n
 is u*g with g = gcd(r, n) and u a unit, and a unit maps every submodule
 onto itself, so rN = gN and (0 :_N r) = (0 :_N g).  The module caches gM
 and (0 :_M g) as masks, one pair per divisor.
+
+Let q be the product of the primes dividing exp(M), which enumeration
+finds once and hands to the lattice.  The second socle of N is N n M[q],
+where M[q] = (0 :_M q); the prime radical, which is also the meet of the
+maximals, is qM; S is large iff it contains M[q] and small iff it lies
+in qM.  None of these needs a join, a meet or another flag family.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from itertools import product as _cartesian
 
 Element = tuple[int, ...]
@@ -410,9 +416,7 @@ def _canonical_generators(module: FiniteModule, mask: int) -> tuple[Element, ...
         gens.append(g)
         closed = _grow(module, closed, g)
     pruned = list(gens)
-    for g in gens:
-        if len(pruned) == 1:
-            break
+    for g in gens[:-1]:  # the last pick lies outside the span of the others
         trial = [h for h in pruned if h != g]
         if _closure(module, trial) == mask:
             pruned = trial
@@ -477,6 +481,8 @@ def enumerate_submodules(module: FiniteModule, *,
         raise SizeGuardError(
             f"module order {module.order} exceeds the guard {max_order}")
     els = module.elements()
+    # past the guard, as listing the divisors of a huge exponent is slow;
+    # the lattice keeps their product q
     primes = {q for q in divisors(module.exponent) if _is_prime(q)}
     cyclic: list[tuple[Element, int, int]] = []  # generator, its bit, span mask
     seen = 1  # the generators of the cyclic spans so far, and zero
@@ -515,7 +521,7 @@ def enumerate_submodules(module: FiniteModule, *,
 
     # ascending positions list the elements in sorted order
     return SubmoduleLattice(module, tuple(
-        Submodule(module, m) for m in sorted(subs, key=bit_positions)))
+        Submodule(module, m) for m in sorted(subs, key=bit_positions)), prod(primes))
 
 
 class SubmoduleLattice:
@@ -527,15 +533,18 @@ class SubmoduleLattice:
     against the module's gM and (0 :_M g) for each divisor g of n.  The
     flags are primality tests on numbers the lattice already has (see
     the module docstring): second and prime on those two ideal divisors,
-    minimal and maximal on |N| and |M/N|; large and small are read off the
-    minimal and maximal masks.  The module properties are facts about |M|,
-    exp(M) and n, apart from hollow and uniform, which read the small and
-    large flags.  Every flag family is computed lazily and cached.
+    minimal and maximal on |N| and |M/N|; large and small compare the
+    mask with M[q] and qM, for `prime_product` q.  The module properties
+    are facts about |M|, exp(M), q and n, apart from hollow and uniform,
+    which read the small and large flags.  Every flag family is computed
+    lazily and cached.
     """
 
-    def __init__(self, module: FiniteModule, members: tuple[Submodule, ...]):
+    def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
+                 prime_product: int):
         self.module = module
         self.all = members
+        self.prime_product = prime_product  # q, the primes dividing exp(M) multiplied
         self._by_mask = {s.mask: i for i, s in enumerate(members)}
         self._by_order: dict[int, list[int]] = {}
         for i, s in enumerate(members):
@@ -657,24 +666,18 @@ class SubmoduleLattice:
         return [not s.is_zero and _is_prime(order // s.order) for s in self.all]
 
     def _large_flags(self) -> list[bool]:
-        # every nonzero submodule contains a minimal one, and a minimal one
-        # meets S nontrivially only inside S: S is large iff it contains
-        # them all (when M is simple there are none and M alone is large)
-        socle = 0
-        for s, flag in zip(self.all, self._flags("minimal")):
-            if flag:
-                socle |= s.mask
-        return [not s.is_zero and s.mask & socle == socle for s in self.all]
+        # every nonzero submodule contains one of prime order, which meets S
+        # nontrivially only inside S, and those span M[q]: S is large iff it
+        # contains M[q] (for a simple M that is M itself)
+        socle = self.module.kernel_mask(self.prime_product)
+        return [s.mask & socle == socle for s in self.all]
 
     def _small_flags(self) -> list[bool]:
-        # every proper submodule lies in a maximal one, so S + T = M for a
-        # proper T iff S escapes some maximal: S is small iff it lies in all
-        # of them (when M is simple there are none and 0 alone is small)
-        radical = (1 << self.module.order) - 1
-        for s, flag in zip(self.all, self._flags("maximal")):
-            if flag:
-                radical &= s.mask
-        return [not s.is_full and s.mask & radical == s.mask for s in self.all]
+        # every proper submodule lies in one of prime index, so S + T = M for
+        # a proper T iff S escapes one of those, and they meet in qM: S is
+        # small iff it lies in qM (for a simple M that is 0)
+        radical = self.module.scaled_mask(self.prime_product)
+        return [s.mask & radical == s.mask for s in self.all]
 
     def _flags(self, family: str) -> list[bool]:
         """One flag per member for `family` (second, prime, minimal, maximal,
@@ -743,8 +746,9 @@ class SubmoduleLattice:
     def _compute_properties(self) -> ModuleProperties:
         module = self.module
         n, e = module.ring.modulus, module.exponent
-        # rM = r^2 M and rM n (0 :_M r) = 0 for every r iff no p^2 divides e
-        squarefree = all(e % (d * d) for d in range(2, isqrt(e) + 1))
+        # rM = r^2 M and rM n (0 :_M r) = 0 for every r iff no p^2 divides e,
+        # which is e = q
+        squarefree = e == self.prime_product
         # every submodule is some cM, and some (0 :_M c), iff M is cyclic: a
         # rank-2 p-part has p + 1 subgroups of order p, but there is at most
         # one cM and one (0 :_M c) of each order
@@ -769,18 +773,20 @@ class SubmoduleLattice:
 
 
 def second_socle(n: Submodule, lattice: SubmoduleLattice) -> Submodule:
-    """Sum of all second submodules contained in N; zero if none."""
-    out = lattice.zero
-    for s in lattice.seconds():
-        if s <= n:
-            out = lattice.join(out, s)
-    return out
+    """Sum of all second submodules contained in N; zero if none.
+
+    The seconds are the nonzero submodules of prime exponent, and those
+    of exponent p inside N span N[p], so their sum is N n M[q].
+    """
+    lattice.index_of(n)  # rejects an N from another module
+    return lattice.all[lattice._by_mask[
+        n.mask & lattice.module.kernel_mask(lattice.prime_product)]]
 
 
 def prime_radical(lattice: SubmoduleLattice) -> Submodule:
-    """Intersection of all prime submodules; the whole module if none."""
-    out = lattice.top
-    for p in lattice.primes():
-        out = lattice.meet(out, p)
-    return out
+    """Intersection of all prime submodules.
 
+    P is prime iff M/P has prime exponent p, and for each p dividing exp(M)
+    those P meet in pM, so all of them meet in qM.
+    """
+    return lattice.all[lattice._by_mask[lattice.module.scaled_mask(lattice.prime_product)]]

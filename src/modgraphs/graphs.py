@@ -258,19 +258,6 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     closed = [row | 1 << v for v, row in enumerate(g._adj)]
     full = (1 << n) - 1
 
-    # greedy pass for an upper bound and a fallback witness
-    greedy: list[int] = []
-    covered = 0
-    while covered != full:
-        best_v, best_gain = -1, -1
-        for v in range(n):
-            gain = (closed[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        greedy.append(best_v)
-        covered |= closed[best_v]
-    best_set = sorted(greedy)
-
     # closed neighbourhoods are symmetric: v's coverers are closed[v] itself
     coverers = [sorted(bit_positions(closed[v]), key=lambda u: (-closed[u].bit_count(), u))
                 for v in range(n)]
@@ -290,12 +277,10 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
                 return got
         return None
 
-    for k in range(1, len(best_set)):
-        got = search(full, k, [])
-        if got is not None:
-            best_set = sorted(got)
-            break
-    return len(best_set), tuple(best_set)
+    k = 1
+    while (got := search(full, k, [])) is None:
+        k += 1
+    return k, tuple(sorted(got))
 
 
 def graph_metrics(g: SimpleGraph) -> GraphMetrics:

@@ -17,7 +17,6 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import lcm
 
 from .algebra import (
@@ -40,8 +39,8 @@ DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
 
 class Instance:
-    """One module under test, with memoized lattice, socle, radical, graphs,
-    and metrics."""
+    """One module under test, with memoized lattice, graphs and metrics;
+    the socle and radical are read off the lattice on each access."""
 
     def __init__(self, module: FiniteModule, *,
                  max_order: int = MAX_MODULE_ORDER,
@@ -88,11 +87,11 @@ class Instance:
     def primes(self):
         return self.lattice.primes()
 
-    @cached_property
+    @property
     def sec_socle(self) -> Submodule:
         return second_socle(self.lattice.top, self.lattice)
 
-    @cached_property
+    @property
     def radical(self) -> Submodule:
         return prime_radical(self.lattice)
 

@@ -2,11 +2,12 @@
 
 Everything here recomputes results a second way: subgroups come from a
 power-set filter, a divisor walk, a basis parameterization, RREF
-matrices or a closure of every triple of elements instead of the package's
-enumeration; flags and module properties come from raw definitional
-loops over all elements and all submodules, joins from closing the union under addition; graph
-invariants come from Floyd-Warshall and subset search.  The oracles deliberately avoid the package's enumeration and
-metric code paths.
+matrices or a closure of every triple of elements instead of the
+package's enumeration; flags, the second socle, the prime radical and
+module properties come from raw definitional loops over all elements
+and all submodules, joins from closing the union under addition; graph
+invariants come from Floyd-Warshall and subset search.  The oracles
+deliberately avoid the package's enumeration and metric code paths.
 """
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
@@ -249,6 +250,22 @@ def brute_properties(lattice):
         "hollow": all(brute_small(s, subs) for s in subs if s.order < module.order),
         "uniform": all(brute_large(s, subs) for s in subs if s.order > 1),
     }
+
+
+def brute_second_socle(n, lattice):
+    """The sum of the second submodules inside N, by `brute_second`."""
+    inside = [s.elements for s in lattice.all
+              if s.elements <= n.elements and brute_second(s)]
+    return close_under_addition(frozenset().union(*inside), n.module.invariant_factors)
+
+
+def brute_prime_radical(lattice):
+    """The intersection of the prime submodules, by `brute_prime`."""
+    out = frozenset(lattice.module.elements())
+    for p in lattice.all:
+        if brute_prime(p):
+            out &= p.elements
+    return out
 
 
 # ---- brute-force order flags and lattice operations on package objects

@@ -15,6 +15,7 @@ from modgraphs import (
     SizeGuardError,
     enumerate_submodules,
     parse_descriptor,
+    prime_radical,
     second_socle,
     span,
 )
@@ -270,6 +271,14 @@ def test_second_socle_is_sum_of_minimals(module_text, ring_text):
     for s in inst.minimals:
         total = lat.join(total, s)
     assert second_socle(lat.top, lat) == total
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_second_socle_and_prime_radical_match_bruteforce(module_text, ring_text):
+    lat = make_instance(module_text, ring_text).lattice
+    for n in lat.all:
+        assert second_socle(n, lat).elements == helpers.brute_second_socle(n, lat), n
+    assert prime_radical(lat).elements == helpers.brute_prime_radical(lat)
 
 
 def test_second_socle_of_single_submodule(z12):

@@ -53,6 +53,22 @@ def test_guard_override_flag(capsys):
     assert "Z9999" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--module", "Z1000000000000000000"),
+    ("graph", "--module", "Z1000000000000000000", "--kind", "ssi"),
+    ("check", "--family", "zmod:Z1000000000000000000"),
+])
+def test_guard_refuses_before_any_divisor_work(argv, monkeypatch, capsys):
+    # listing the divisors of 10^18 takes 10^9 trial divisions, so the size
+    # guard must stop every command before anything asks for them
+    from modgraphs import algebra
+    calls = []
+    monkeypatch.setattr(algebra, "divisors", lambda n: calls.append(n) or [1, n])
+    code, _, err = run_cli(*argv, capsys=capsys)
+    assert code == 3 and "exceeds the guard" in err
+    assert calls == []
+
+
 def test_ideal_graph_on_module_is_an_error(capsys):
     code, _, err = run_cli("graph", "--module", "Z2xZ4", "--ring", "Z4",
                            "--kind", "pis", capsys=capsys)
