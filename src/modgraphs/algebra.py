@@ -17,10 +17,10 @@ fact about a number.  N is second iff its exponent, the c with
 Ann_R(N) = cZ_n, is a prime; P is prime iff M/P has prime exponent, the
 c with (P :_R M) = cZ_n; N is minimal iff |N| is prime and maximal iff
 |M/N| is; and the module properties are facts about |M|, exp(M) and n.
-Those two ideals are found over the divisors of n only: any r in Z_n
-is u*g with g = gcd(r, n) and u a unit, and a unit maps every submodule
-onto itself, so rN = gN and (0 :_N r) = (0 :_N g).  The module caches gM
-and (0 :_M g) as masks, one pair per divisor.
+Both exponents are read off with no search: exp(N) is the lcm of the
+orders of N's generators, exp(M/N) the lcm of the orders |<e_i>| /
+|<e_i> n N| of e_i + N over the unit generators e_i.  dM lies in N for
+d = exp(M/N), the only d with dM = N if any, so N is dM iff |N| = |dM|.
 
 Let q be the product of the primes dividing exp(M), which enumeration
 finds once and hands to the lattice.  The second socle of N is N n M[q],
@@ -105,11 +105,6 @@ class Ring:
     def elements(self) -> range:
         return range(self.modulus)
 
-    def divisors(self) -> list[int]:
-        """The divisors of n in increasing order; g = gcd(r, n) stands for
-        the residue r, and n for the residue 0."""
-        return divisors(self.modulus)
-
     def as_module(self) -> "FiniteModule":
         """This ring viewed as a module over itself."""
         if self._module is None:
@@ -142,7 +137,7 @@ class FiniteModule:
     """A finite Z_n-module given as Z_{d_1} x ... x Z_{d_k}, each d_i | n."""
 
     __slots__ = ("ring", "invariant_factors", "order", "_elements", "_scaled",
-                 "_kernels", "_repeats")
+                 "_kernels", "_repeats", "_unit_spans")
 
     def __init__(self, ring: Ring, invariant_factors: tuple[int, ...]):
         factors = tuple(invariant_factors)
@@ -161,6 +156,7 @@ class FiniteModule:
         self._scaled = {}
         self._kernels = {}
         self._repeats = {}
+        self._unit_spans = None
 
     @property
     def exponent(self) -> int:
@@ -226,6 +222,12 @@ class FiniteModule:
         k = len(self.invariant_factors)
         return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
+    def unit_spans(self) -> tuple[int, ...]:
+        """The masks of the cyclic components <e_i>, built on first use."""
+        if self._unit_spans is None:
+            self._unit_spans = tuple(_grow(self, 1, e) for e in self.unit_generators())
+        return self._unit_spans
+
     def scaled_mask(self, r: int) -> int:
         """The mask of rM, spanned by r times each unit generator; cached
         per g = gcd(r, n), which has the same image."""
@@ -289,13 +291,12 @@ class Submodule:
     set is derived from the mask on each read of `elements`.
     """
 
-    __slots__ = ("module", "mask", "generators", "_labels")
+    __slots__ = ("module", "mask", "generators")
 
     def __init__(self, module: FiniteModule, mask: int):
         self.module = module
         self.mask = mask
         self.generators = _canonical_generators(module, mask)
-        self._labels = {}
 
     @property
     def elements(self) -> frozenset:
@@ -313,26 +314,29 @@ class Submodule:
     def is_full(self) -> bool:
         return self.mask.bit_count() == self.module.order
 
+    @property
+    def exponent(self) -> int:
+        """exp(N), the lcm of the orders of the generators."""
+        factors = self.module.invariant_factors
+        return lcm(*(d // gcd(a, d) for g in self.generators for a, d in zip(g, factors)))
+
+    @property
+    def quotient_exponent(self) -> int:
+        """exp(M/N), the lcm of the orders |<e_i>| / |<e_i> n N| of e_i + N."""
+        mask = self.mask
+        return lcm(*(c.bit_count() // (c & mask).bit_count() for c in self.module.unit_spans()))
+
     def label(self, symbol: str = "M") -> str:
-        """Short name: 0, M, dM when the submodule equals d*M, else generators."""
-        got = self._labels.get(symbol)
-        if got is not None:
-            return got
+        """Short name: 0, M, dM when the submodule equals d*M, else generators;
+        d can only be exp(M/N), and |dM| = prod d_i / gcd(d, d_i)."""
         if self.is_zero:
-            text = "0"
-        elif self.is_full:
-            text = symbol
-        else:
-            text = ""
-            module = self.module
-            for d in divisors(module.exponent)[1:]:
-                if module.scaled_mask(d) == self.mask:
-                    text = f"{d}{symbol}"
-                    break
-            if not text:
-                text = "<" + ",".join(_format_element(g) for g in self.generators) + ">"
-        self._labels[symbol] = text
-        return text
+            return "0"
+        if self.is_full:
+            return symbol
+        d = self.quotient_exponent
+        if self.order == prod(f // gcd(d, f) for f in self.module.invariant_factors):
+            return f"{d}{symbol}"
+        return "<" + ",".join(_format_element(g) for g in self.generators) + ">"
 
     def __eq__(self, other):
         return (isinstance(other, Submodule) and other.mask == self.mask
@@ -466,6 +470,13 @@ def module_lattice(module: FiniteModule, *,
     return enumerate_submodules(module, max_order=max_order, max_lattice=max_lattice)
 
 
+def guard_module_order(module: FiniteModule, max_order: int) -> None:
+    """Refuse a module of more than max_order elements."""
+    if module.order > max_order:
+        raise SizeGuardError(
+            f"module order {module.order} exceeds the guard {max_order}")
+
+
 def enumerate_submodules(module: FiniteModule, *,
                          max_order: int = MAX_MODULE_ORDER,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
@@ -477,9 +488,7 @@ def enumerate_submodules(module: FiniteModule, *,
     |<g>| / |a n <g>| prime, which makes one grow per edge of the Hasse
     diagram.
     """
-    if module.order > max_order:
-        raise SizeGuardError(
-            f"module order {module.order} exceeds the guard {max_order}")
+    guard_module_order(module, max_order)
     els = module.elements()
     # past the guard, as listing the divisors of a huge exponent is slow;
     # the lattice keeps their product q
@@ -529,8 +538,8 @@ class SubmoduleLattice:
 
     Members are indexed by their masks, so meet is a mask AND and a
     dictionary read, and join a search of one order bucket.  The colon
-    and annihilator ideals cZ_n are found by testing the member's mask
-    against the module's gM and (0 :_M g) for each divisor g of n.  The
+    and annihilator ideals of N are exp(M/N)Z_n and exp(N)Z_n, read off
+    the member (`Submodule.quotient_exponent`, `Submodule.exponent`).  The
     flags are primality tests on numbers the lattice already has (see
     the module docstring): second and prime on those two ideal divisors,
     minimal and maximal on |N| and |M/N|; large and small compare the
@@ -551,8 +560,6 @@ class SubmoduleLattice:
             self._by_order.setdefault(s.order, []).append(i)
         self._flag_lists: dict[str, list[bool]] = {}
         self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
-        self._colon: dict[int, int] = {}
-        self._ann: dict[int, int] = {}
         self._props = None
 
     def __len__(self):
@@ -612,30 +619,15 @@ class SubmoduleLattice:
 
     # -- classification flags ------------------------------------------
 
-    # Both ideals below are cZ_n, and a divisor g of n lies in cZ_n iff c | g,
-    # so c is the least divisor that passes the test; n (residue 0) always does.
-
     def colon_divisor(self, sub: Submodule) -> int:
-        """The c with (sub :_R M) = cZ_n: the least g with gM <= sub,
-        which is the exponent of M/sub."""
-        i = self.index_of(sub)
-        got = self._colon.get(i)
-        if got is None:
-            scaled, mask = self.module.scaled_mask, sub.mask
-            got = self._colon[i] = next(g for g in self.module.ring.divisors()
-                                        if scaled(g) & mask == scaled(g))
-        return got
+        """The c with (sub :_R M) = cZ_n, the exponent of M/sub."""
+        self.index_of(sub)  # rejects a submodule from another module
+        return sub.quotient_exponent
 
     def annihilator_divisor(self, sub: Submodule) -> int:
-        """The c with Ann_R(sub) = cZ_n: the least g with sub <= (0 :_M g),
-        which is the exponent of sub."""
-        i = self.index_of(sub)
-        got = self._ann.get(i)
-        if got is None:
-            kernel, mask = self.module.kernel_mask, sub.mask
-            got = self._ann[i] = next(g for g in self.module.ring.divisors()
-                                      if mask & kernel(g) == mask)
-        return got
+        """The c with Ann_R(sub) = cZ_n, the exponent of sub."""
+        self.index_of(sub)
+        return sub.exponent
 
     def colon_elements(self, sub: Submodule) -> frozenset:
         """The residues of (sub :_R M)."""

@@ -27,6 +27,7 @@ from .algebra import (
     Ring,
     Submodule,
     _is_prime,
+    guard_module_order,
     module_lattice,
     parse_descriptor,
     prime_radical,
@@ -175,6 +176,8 @@ def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
 
     Modules over the same Z_n share one Ring, so its ideal lattice is
     enumerated once per family, as Z_n's own lattice or as a ring lattice.
+    The order guard runs as each module is expanded, not after the whole
+    family is built.
     """
     items = [t.strip() for t in text.split(",") if t.strip()]
     if not items:
@@ -184,6 +187,7 @@ def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
     rings: dict[int, Ring] = {}
     for item in items:
         for ring, module in _expand_item(item):
+            guard_module_order(module, max_order)
             ring = rings.setdefault(ring.modulus, ring)
             inst = Instance(FiniteModule(ring, module.invariant_factors),
                             max_order=max_order, max_lattice=max_lattice)

@@ -3,15 +3,16 @@
 Everything here recomputes results a second way: subgroups come from a
 power-set filter, a divisor walk, a basis parameterization, RREF
 matrices or a closure of every triple of elements instead of the
-package's enumeration; flags, the second socle, the prime radical and
-module properties come from raw definitional loops over all elements
-and all submodules, joins from closing the union under addition; graph
-invariants come from Floyd-Warshall and subset search.  The oracles
-deliberately avoid the package's enumeration and metric code paths.
+package's enumeration; flags, labels, the second socle, the prime
+radical and module properties come from raw definitional loops over all
+elements and all submodules, joins from closing the union under
+addition; graph invariants come from Floyd-Warshall and subset search.
+The oracles deliberately avoid the package's enumeration and metric code
+paths.
 """
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
-from math import gcd, inf
+from math import gcd, inf, lcm
 
 
 def divisors(n):
@@ -197,8 +198,9 @@ def brute_prime(sub):
 
 def brute_colon(sub):
     module = sub.module
+    members = sub.elements
     return frozenset(r for r in module.ring.elements()
-                     if all(module.scale(r, m) in sub.elements
+                     if all(module.scale(r, m) in members
                             for m in module.elements()))
 
 
@@ -207,6 +209,22 @@ def brute_annihilator(sub):
     zero = module.zero
     return frozenset(r for r in module.ring.elements()
                      if all(module.scale(r, x) == zero for x in sub.elements))
+
+
+def brute_label(sub, symbol="M"):
+    """0, the symbol, the first dM (d a divisor of exp(M) above 1) whose
+    element set is N's, else N's generators."""
+    module = sub.module
+    if sub.order == 1:
+        return "0"
+    if sub.order == module.order:
+        return symbol
+    members = sub.elements
+    for d in divisors(lcm(*module.invariant_factors))[1:]:
+        if frozenset(module.scale(d, m) for m in module.elements()) == members:
+            return f"{d}{symbol}"
+    return "<" + ",".join(str(g[0]) if len(g) == 1 else "(" + ",".join(map(str, g)) + ")"
+                          for g in sub.generators) + ">"
 
 
 def brute_properties(lattice):

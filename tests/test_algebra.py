@@ -236,6 +236,15 @@ def test_generator_colon_and_annihilator_match_full_scan(module_text, ring_text)
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_labels_match_bruteforce(module_text, ring_text):
+    inst = make_instance(module_text, ring_text)
+    for s in inst.lattice.all:
+        assert s.label() == helpers.brute_label(s), s
+    for ideal in inst.ring_lattice.all:
+        assert ideal.label("R") == helpers.brute_label(ideal, "R"), ideal
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
 def test_scaled_and_kernel_masks_match_every_residue(module_text, ring_text):
     module = make_instance(module_text, ring_text).module
     els = module.elements()
@@ -439,6 +448,31 @@ def test_modular_law(data):
             j, m = lat.join(a, b), lat.meet(a, b)
             assert a.elements <= j.elements and b.elements <= j.elements
             assert m.elements <= a.elements and m.elements <= b.elements
+
+
+@st.composite
+def generated_modules(draw):
+    # invariant factors with |M| <= 32, over Z_n for n = k * lcm, k <= 3
+    rank = draw(st.integers(min_value=1, max_value=5))
+    factors = []
+    for left in range(rank - 1, -1, -1):  # each factor leaves room for 2^left
+        room = 32 // (math.prod(factors) << left)
+        factors.append(draw(st.integers(min_value=2, max_value=room)))
+    k = draw(st.sampled_from([1, 2, 3]))
+    return FiniteModule(Ring(k * math.lcm(*factors)), tuple(factors))
+
+
+@given(generated_modules())
+@settings(derandomize=True, deadline=None)
+def test_generated_modules_match_oracles(module):
+    lat = enumerate_submodules(module)
+    for s in lat.all:
+        assert lat.colon_elements(s) == helpers.brute_colon(s), s
+        assert lat.annihilator_elements(s) == helpers.brute_annihilator(s), s
+        assert s.label() == helpers.brute_label(s), s
+    # self-duality: as many subgroups of order k as of index k
+    counts = Counter(s.order for s in lat.all)
+    assert all(counts[k] == counts[module.order // k] for k in counts)
 
 
 @given(st.sampled_from([(12, "Z12"), (16, "Z16"), (18, "Z18"), (8, "Z2xZ4")]),

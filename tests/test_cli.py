@@ -69,6 +69,25 @@ def test_guard_refuses_before_any_divisor_work(argv, monkeypatch, capsys):
     assert calls == []
 
 
+def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
+    # a million-module family must stop at its first oversized module, not
+    # after every module in it has been built
+    from modgraphs import algebra
+    built = []
+    init = algebra.FiniteModule.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        assert len(built) <= 100, "the whole family is being built"
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(algebra.FiniteModule, "__init__", counting_init)
+    code, out, err = run_cli("check", "--family", "cyclic:4090..1000000",
+                             "--checks", "C1", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: module order 4097 exceeds the guard 4096\n"
+
+
 def test_ideal_graph_on_module_is_an_error(capsys):
     code, _, err = run_cli("graph", "--module", "Z2xZ4", "--ring", "Z4",
                            "--kind", "pis", capsys=capsys)

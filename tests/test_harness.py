@@ -75,6 +75,12 @@ def test_family_respects_order_guard():
         generate_family("cyclic:5000..5001")[0].lattice
 
 
+def test_family_guard_fires_while_expanding():
+    # Z4097 is refused as it is expanded, before the family is returned
+    with pytest.raises(SizeGuardError, match="module order 4097 exceeds the guard 4096"):
+        generate_family("cyclic:4090..5000")
+
+
 # --------------------------------------------------------------- instances
 
 def test_instance_descriptor_mentions_ring_only_when_larger():
