@@ -264,20 +264,24 @@ class FiniteModule:
         return f"FiniteModule({self.descriptor} over Z{self.ring.modulus})"
 
 
-def parse_descriptor(module_text: str, ring_text: str | None = None) -> tuple[Ring, FiniteModule]:
-    """Parse 'Z12' or 'Z2xZ4' into a (ring, module) pair.
+def parse_factors(module_text: str, ring_text: str | None = None) -> tuple[int, tuple[int, ...]]:
+    """Parse 'Z12' or 'Z2xZ4' into the ring modulus and the invariant factors.
 
     The ring defaults to Z_n for n the least common multiple of the
     invariant factors; an explicit ring must be a common multiple.
     """
     factors = _parse_atoms(module_text.strip())
     if ring_text is None:
-        modulus = lcm(*factors)
-    else:
-        ring_atoms = _parse_atoms(ring_text.strip())
-        if len(ring_atoms) != 1:
-            raise DescriptorError(f"ring descriptor must be a single Z<n>, got {ring_text!r}")
-        modulus = ring_atoms[0]
+        return lcm(*factors), factors
+    ring_atoms = _parse_atoms(ring_text.strip())
+    if len(ring_atoms) != 1:
+        raise DescriptorError(f"ring descriptor must be a single Z<n>, got {ring_text!r}")
+    return ring_atoms[0], factors
+
+
+def parse_descriptor(module_text: str, ring_text: str | None = None) -> tuple[Ring, FiniteModule]:
+    """Parse 'Z12' or 'Z2xZ4' into a (ring, module) pair (see `parse_factors`)."""
+    modulus, factors = parse_factors(module_text, ring_text)
     ring = Ring(modulus)
     return ring, FiniteModule(ring, factors)
 

@@ -7,6 +7,19 @@ variants (sii, pis) are the same constructions for the ring over itself.
 The tilde variants move to the ring side through annihilators (ssi_tilde)
 or colon ideals (pss_tilde), merging duplicate ideals into one vertex.
 
+No edge needs a meet or a join.  X is second iff exp(X) is a prime p,
+which holds iff X contains a witness of order p (an atom), no atom of
+another prime order and no cyclic witness of order p^2.  With C(W) the
+vertices containing the witness W, the row of N is the OR over p of
+A_p & ~(the A_p' for p' != p) & ~Q_p, where A_p and Q_p are the ORs of
+C(W) over the atoms of order p and the cyclic witnesses of order p^2
+inside N; then N's own bit is cleared.  Dually, M/X has exponent p iff
+X lies in a witness H with M/H of order p, in none of another prime
+index and in no T with |M/T| = exp(M/T) = p^2, so the prime-sum rows
+take D(W), the vertices inside W, over the witnesses containing N.
+The tilde graphs take their witnesses from the ring lattice and keep
+the bits of the picked ideals only.  A graph is held as these rows.
+
 Conventions for the invariants live in `graph_metrics`: graphs on at
 most one vertex count as connected and complete with diameter 0, a
 disconnected graph has infinite diameter, an acyclic graph has infinite
@@ -17,8 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
-from math import inf
+from math import inf, isqrt
 
 from .algebra import (
     DescriptorError,
@@ -27,6 +39,7 @@ from .algebra import (
     Submodule,
     SubmoduleLattice,
     _format_element,
+    _is_prime,
     bit_positions,
     module_lattice,
 )
@@ -58,20 +71,18 @@ class GraphVertex:
 
 
 class SimpleGraph:
-    """Undirected graph on lattice vertices; adjacency row i is an int
-    bitmask with bit j set when i and j are adjacent."""
+    """Undirected graph on lattice vertices, held as its adjacency rows:
+    row i is an int bitmask with bit j set when i and j are adjacent.
+    The rows are the one representation; the edge list is derived from
+    them on demand."""
 
     def __init__(self, kind: GraphKind, ring: Ring, module: FiniteModule,
-                 vertices: tuple[GraphVertex, ...], edges: list[tuple[int, int]]):
+                 vertices: tuple[GraphVertex, ...], rows: list[int]):
         self.kind = kind
         self.ring = ring
         self.module = module
         self.vertices = vertices
-        self._edges = sorted(edges)
-        self._adj = [0] * len(vertices)
-        for i, j in self._edges:
-            self._adj[i] |= 1 << j
-            self._adj[j] |= 1 << i
+        self._adj = rows
         self._vertex_index = {v.submodule: v.index for v in vertices}
 
     @property
@@ -80,10 +91,12 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return sum(row.bit_count() for row in self._adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return list(self._edges)
+        """Every edge (i, j) with i < j, in sorted order."""
+        return [(i, j) for i, row in enumerate(self._adj)
+                for j in bit_positions(row >> i + 1 << i + 1)]
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self._adj[i] >> j & 1)
@@ -140,20 +153,50 @@ def build_graph(kind, module: FiniteModule, lattice: SubmoduleLattice | None = N
         return _build_tilde(kind, module, lattice, ring_lattice)
 
     symbol = "R" if kind in IDEAL_KINDS else "M"
-    return _pair_graph(kind, module, lattice, lattice.proper_nonzero(), symbol)
+    return _witness_graph(kind, module, lattice, lattice.proper_nonzero(), symbol)
 
 
-def _pair_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
-                verts, symbol: str) -> SimpleGraph:
+def _witness_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
+                   verts, symbol: str) -> SimpleGraph:
     """The graph on `verts` (members of `lattice`) under the kind's edge
-    rule: the meet is second (ssi, sii, ssi_tilde) or the join is prime."""
-    holds, combine = ((lattice.is_second, lattice.meet) if kind in MEET_KINDS
-                      else (lattice.is_prime, lattice.join))
+    rule, one adjacency row per vertex from the witness sets (see the
+    module docstring): the meet is second (ssi, sii, ssi_tilde) or the
+    join is prime."""
+    meet = kind in MEET_KINDS
+    top = lattice.module.order
+    witnesses = []  # (p, square, mask): prime-order or cyclic p^2 witness
+    for s in lattice.all:
+        size = s.order if meet else top // s.order
+        if _is_prime(size):
+            witnesses.append((size, 0, s.mask))
+            continue
+        p = isqrt(size)
+        if (p * p == size and _is_prime(p)
+                and (s.exponent if meet else s.quotient_exponent) == size):
+            witnesses.append((p, 1, s.mask))
+
+    masks = [s.mask for s in verts]
+    # per vertex N and prime p: [A_p, Q_p], the ORs of the vertex sets of
+    # the atom-like and the square witnesses on N's side
+    sides: list[dict[int, list[int]]] = [{} for _ in verts]
+    for p, square, w in witnesses:
+        hits = [i for i, m in enumerate(masks) if (m & w == w if meet else m & w == m)]
+        bits = sum(1 << i for i in hits)
+        for i in hits:
+            sides[i].setdefault(p, [0, 0])[square] |= bits
+    rows = []
+    for i, side in enumerate(sides):
+        # K joins N when exactly one prime p has an A_p bit for K, and
+        # Q_p has none
+        row = seen = twice = 0
+        for atoms, squares in side.values():
+            twice |= seen & atoms
+            seen |= atoms
+            row |= atoms & ~squares
+        rows.append(row & ~twice & ~(1 << i))
     vertices = tuple(GraphVertex(i, s, s.label(symbol), s.order)
                      for i, s in enumerate(verts))
-    edges = [(i, j) for i, j in combinations(range(len(verts)), 2)
-             if holds(combine(verts[i], verts[j]))]
-    return SimpleGraph(kind, module.ring, module, vertices, edges)
+    return SimpleGraph(kind, module.ring, module, vertices, rows)
 
 
 def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
@@ -165,7 +208,7 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
                else lattice.annihilator_divisor)
     picked = {ring_lattice.ideal(divisor(s)) for s in lattice.all}
     ideals = [i for i in ring_lattice.proper_nonzero() if i in picked]
-    return _pair_graph(kind, module, ring_lattice, ideals, "R")
+    return _witness_graph(kind, module, ring_lattice, ideals, "R")
 
 
 @dataclass(frozen=True)
@@ -258,17 +301,24 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     closed = [row | 1 << v for v, row in enumerate(g._adj)]
     full = (1 << n) - 1
 
-    # closed neighbourhoods are symmetric: v's coverers are closed[v] itself
-    coverers = [sorted(bit_positions(closed[v]), key=lambda u: (-closed[u].bit_count(), u))
-                for v in range(n)]
+    # closed neighbourhoods are symmetric: v's coverers are closed[v] itself,
+    # tried by falling closed degree, then index
+    order = sorted(range(n), key=lambda u: (-closed[u].bit_count(), u))
+    coverers: dict[int, list[int]] = {}
     max_gain = max(m.bit_count() for m in closed)
 
     def search(uncovered: int, budget: int, chosen: list[int]) -> list[int] | None:
         if uncovered == 0:
             return list(chosen)
-        if budget == 0 or uncovered.bit_count() > budget * max_gain:
+        left = uncovered.bit_count()
+        if budget == 0 or left > budget * max_gain:
+            return None
+        # no pick covers more than the most any vertex still covers
+        if budget > 1 and left > budget * max((c & uncovered).bit_count() for c in closed):
             return None
         v = (uncovered & -uncovered).bit_length() - 1
+        if v not in coverers:
+            coverers[v] = [u for u in order if closed[v] >> u & 1]
         for u in coverers[v]:
             chosen.append(u)
             got = search(uncovered & ~closed[u], budget - 1, chosen)

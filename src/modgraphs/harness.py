@@ -29,7 +29,7 @@ from .algebra import (
     _is_prime,
     guard_module_order,
     module_lattice,
-    parse_descriptor,
+    parse_factors,
     prime_radical,
     second_socle,
 )
@@ -137,13 +137,14 @@ _ZMOD_RE = re.compile(r"^zmod:([A-Za-z0-9x]+)(?:/([A-Za-z0-9]+))?$")
 
 
 def _expand_item(item: str):
+    """The (ring modulus, invariant factors) of each module of one item."""
     m = _CYCLIC_RE.match(item)
     if m:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo < 2 or hi < lo:
             raise DescriptorError(f"bad cyclic range in {item!r}")
         for n in range(lo, hi + 1):
-            yield parse_descriptor(f"Z{n}")
+            yield n, (n,)
         return
     m = _PRODUCT_RE.match(item)
     if m:
@@ -151,7 +152,7 @@ def _expand_item(item: str):
         a = 2
         while a * a <= cap:
             for b in range(a, cap // a + 1):
-                yield parse_descriptor(f"Z{a}xZ{b}")
+                yield lcm(a, b), (a, b)
             a += 1
         return
     m = _VECTOR_RE.match(item)
@@ -161,11 +162,11 @@ def _expand_item(item: str):
             raise DescriptorError(f"vector family needs a prime base, got {p}")
         if k < 1:
             raise DescriptorError(f"vector family needs a positive power in {item!r}")
-        yield parse_descriptor("x".join([f"Z{p}"] * k), f"Z{p}")
+        yield p, (p,) * k
         return
     m = _ZMOD_RE.match(item)
     if m:
-        yield parse_descriptor(m.group(1), m.group(2))
+        yield parse_factors(m.group(1), m.group(2))
         return
     raise DescriptorError(f"unrecognized family item {item!r}")
 
@@ -186,11 +187,10 @@ def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
     seen: set[str] = set()
     rings: dict[int, Ring] = {}
     for item in items:
-        for ring, module in _expand_item(item):
+        for modulus, factors in _expand_item(item):
+            module = FiniteModule(rings.setdefault(modulus, Ring(modulus)), factors)
             guard_module_order(module, max_order)
-            ring = rings.setdefault(ring.modulus, ring)
-            inst = Instance(FiniteModule(ring, module.invariant_factors),
-                            max_order=max_order, max_lattice=max_lattice)
+            inst = Instance(module, max_order=max_order, max_lattice=max_lattice)
             if inst.descriptor not in seen:
                 seen.add(inst.descriptor)
                 out.append(inst)

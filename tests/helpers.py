@@ -6,7 +6,8 @@ matrices or a closure of every triple of elements instead of the
 package's enumeration; flags, labels, the second socle, the prime
 radical and module properties come from raw definitional loops over all
 elements and all submodules, joins from closing the union under
-addition; graph invariants come from Floyd-Warshall and subset search.
+addition; graph edges come from one meet or join per vertex pair, graph
+invariants from Floyd-Warshall and subset search.
 The oracles deliberately avoid the package's enumeration and metric code
 paths.
 """
@@ -318,6 +319,20 @@ def brute_small(sub, subs):
     order = sub.module.order
     return sub.order < order and all(len(brute_join(sub, t)) < order
                                      for t in subs if t.order < order)
+
+
+# ---- graph edges by their definition
+
+def pairwise_edges(kind, lattice, verts):
+    """The edges (i, j), i < j, of a graph of `kind` on `verts` (members of
+    `lattice`): one meet per pair, second for ssi, sii and ssi_tilde, or
+    one join per pair, prime for pss, pis and pss_tilde."""
+    if str(kind) in ("ssi", "sii", "ssi_tilde"):
+        holds, combine = lattice.is_second, lattice.meet
+    else:
+        holds, combine = lattice.is_prime, lattice.join
+    return [(i, j) for i, j in combinations(range(len(verts)), 2)
+            if holds(combine(verts[i], verts[j]))]
 
 
 # ---- exhaustive graph invariants

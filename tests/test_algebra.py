@@ -11,8 +11,10 @@ from conftest import make_instance
 from modgraphs import (
     DescriptorError,
     FiniteModule,
+    GraphKind,
     Ring,
     SizeGuardError,
+    build_graph,
     enumerate_submodules,
     parse_descriptor,
     prime_radical,
@@ -470,6 +472,12 @@ def test_generated_modules_match_oracles(module):
         assert lat.colon_elements(s) == helpers.brute_colon(s), s
         assert lat.annihilator_elements(s) == helpers.brute_annihilator(s), s
         assert s.label() == helpers.brute_label(s), s
+    ring_lattice = module.ring.lattice()
+    for kind in (GraphKind.SSI, GraphKind.PSS, GraphKind.SSI_TILDE, GraphKind.PSS_TILDE):
+        g = build_graph(kind, module, lat, ring_lattice=ring_lattice)
+        side = lat if kind in (GraphKind.SSI, GraphKind.PSS) else ring_lattice
+        verts = [v.submodule for v in g.vertices]
+        assert g.edges() == helpers.pairwise_edges(kind, side, verts), kind
     # self-duality: as many subgroups of order k as of index k
     counts = Counter(s.order for s in lat.all)
     assert all(counts[k] == counts[module.order // k] for k in counts)

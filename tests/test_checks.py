@@ -262,8 +262,15 @@ class DoctoredInstance(Instance):
         if kind not in self._graphs:
             real = self._base.graph(kind)
             edges = self._doctor(self._base, kind)
-            self._graphs[kind] = real if edges is None else SimpleGraph(
-                kind, real.ring, real.module, real.vertices, edges)
+            if edges is None:
+                self._graphs[kind] = real
+            else:
+                rows = [0] * real.vertex_count
+                for i, j in edges:
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+                self._graphs[kind] = SimpleGraph(
+                    kind, real.ring, real.module, real.vertices, rows)
         return self._graphs[kind]
 
 

@@ -86,6 +86,7 @@ def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
                              "--checks", "C1", capsys=capsys)
     assert (code, out) == (3, "")
     assert err == "error: module order 4097 exceeds the guard 4096\n"
+    assert len(built) == 8  # Z4090..Z4097, each built once
 
 
 def test_ideal_graph_on_module_is_an_error(capsys):
@@ -229,6 +230,15 @@ def test_check_reports_json(capsys):
     assert data["suite"] == "strict"
     assert data["summary"]["fail"] == 0
     assert len(data["results"]) == 11 * 27
+
+
+def test_check_all_is_byte_stable_on_a_374_member_lattice(capsys):
+    # a lattice larger than any the benchmark runs: Z2^5 over Z2
+    code, out, _ = run_cli("check", "--family", "zmod:Z2xZ2xZ2xZ2xZ2/Z2",
+                           "--checks", "all", capsys=capsys)
+    blob = out.encode()
+    assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (
+        0, 3958, "0696bd6bec66bb675df75ad9d81e2253920b43ba94b7cfe9bb2fc96f6b7fdf8e")
 
 
 def test_findings_do_not_fail_by_default(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 from conftest import make_instance
+from test_algebra import FLAG_SAMPLE
 from modgraphs import (
     DescriptorError,
     GraphKind,
@@ -166,6 +167,30 @@ def test_pss_edges_are_prime_sums(module_text, ring_text):
         for j in range(i + 1, n):
             join = lat.join(g.vertices[i].submodule, g.vertices[j].submodule)
             assert g.adjacent(i, j) == helpers.brute_prime(join)
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_edges_match_pairwise_oracle(module_text, ring_text):
+    inst = make_instance(module_text, ring_text)
+    for kind in GraphKind:
+        g = inst.graph(kind)
+        lat = inst.lattice if kind in (GraphKind.SSI, GraphKind.PSS) else inst.ring_lattice
+        verts = [v.submodule for v in g.vertices]
+        assert g.edges() == helpers.pairwise_edges(kind, lat, verts), kind
+
+
+@pytest.mark.parametrize("module_text,ring_text",
+                         [("Z12", None), ("Z2xZ4", "Z8"), ("Z4xZ4xZ4", None), ("Z720", None)])
+def test_building_a_graph_makes_no_lattice_calls(module_text, ring_text, monkeypatch):
+    # the edges come from witness sets, so no graph needs a join or a meet
+    def refuse(*args):
+        raise AssertionError("a graph build called join or meet")
+
+    monkeypatch.setattr(algebra.SubmoduleLattice, "join", refuse)
+    monkeypatch.setattr(algebra.SubmoduleLattice, "meet", refuse)
+    inst = make_instance(module_text, ring_text)
+    for kind in GraphKind:
+        assert inst.graph(kind).vertex_count > 0
 
 
 def test_ideal_graphs_need_the_ring_itself():
