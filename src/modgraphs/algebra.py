@@ -17,10 +17,11 @@ fact about a number.  N is second iff its exponent, the c with
 Ann_R(N) = cZ_n, is a prime; P is prime iff M/P has prime exponent, the
 c with (P :_R M) = cZ_n; N is minimal iff |N| is prime and maximal iff
 |M/N| is; and the module properties are facts about |M|, exp(M) and n.
-Both exponents are read off with no search: exp(N) is the lcm of the
-orders of N's generators, exp(M/N) the lcm of the orders |<e_i>| /
-|<e_i> n N| of e_i + N over the unit generators e_i.  dM lies in N for
-d = exp(M/N), the only d with dM = N if any, so N is dM iff |N| = |dM|.
+Both exponents are read off with no search: exp(N) is carried up the
+cover walk as exp(a + <g>) = lcm(exp a, |<g>|), exp(M/N) is the lcm of
+the orders |<e_i>| / |<e_i> n N| of e_i + N over the unit generators
+e_i.  dM lies in N for d = exp(M/N), the only d with dM = N if any, so
+N is dM iff |N| = |dM|.
 
 Let q be the product of the primes dividing exp(M), which enumeration
 finds once and hands to the lattice.  The second socle of N is N n M[q],
@@ -291,16 +292,26 @@ class Submodule:
 
     Bit p of `mask` is set when the element at position p of
     `module.elements()` lies in the submodule.  Equality is equal masks
-    in equal modules, and `<=`/`<` are mask containment.  The element
-    set is derived from the mask on each read of `elements`.
+    in equal modules, and `<=`/`<` are mask containment.  `exponent` is
+    exp(N), which every constructor already knows; exp(M/N) and the
+    canonical generators are computed on first read and kept, and the
+    element set is derived from the mask on each read of `elements`.
     """
 
-    __slots__ = ("module", "mask", "generators")
+    __slots__ = ("module", "mask", "exponent", "_quotient_exponent", "_generators")
 
-    def __init__(self, module: FiniteModule, mask: int):
+    def __init__(self, module: FiniteModule, mask: int, exponent: int):
         self.module = module
         self.mask = mask
-        self.generators = _canonical_generators(module, mask)
+        self.exponent = exponent
+        self._quotient_exponent = None
+        self._generators = None
+
+    @property
+    def generators(self) -> tuple[Element, ...]:
+        if self._generators is None:
+            self._generators = _canonical_generators(self.module, self.mask)
+        return self._generators
 
     @property
     def elements(self) -> frozenset:
@@ -319,16 +330,13 @@ class Submodule:
         return self.mask.bit_count() == self.module.order
 
     @property
-    def exponent(self) -> int:
-        """exp(N), the lcm of the orders of the generators."""
-        factors = self.module.invariant_factors
-        return lcm(*(d // gcd(a, d) for g in self.generators for a, d in zip(g, factors)))
-
-    @property
     def quotient_exponent(self) -> int:
         """exp(M/N), the lcm of the orders |<e_i>| / |<e_i> n N| of e_i + N."""
-        mask = self.mask
-        return lcm(*(c.bit_count() // (c & mask).bit_count() for c in self.module.unit_spans()))
+        if self._quotient_exponent is None:
+            mask = self.mask
+            self._quotient_exponent = lcm(*(c.bit_count() // (c & mask).bit_count()
+                                            for c in self.module.unit_spans()))
+        return self._quotient_exponent
 
     def label(self, symbol: str = "M") -> str:
         """Short name: 0, M, dM when the submodule equals d*M, else generators;
@@ -432,12 +440,15 @@ def _canonical_generators(module: FiniteModule, mask: int) -> tuple[Element, ...
 
 
 def span(module: FiniteModule, gens) -> Submodule:
-    """Smallest submodule containing the given elements."""
+    """Smallest submodule containing the given elements; its exponent is
+    the lcm of their orders."""
     gens = list(gens)
     for g in gens:
         if not module.contains(g):
             raise ValueError(f"element {g!r} is not in {module.descriptor}")
-    return Submodule(module, _closure(module, gens))
+    factors = module.invariant_factors
+    return Submodule(module, _closure(module, gens),
+                     lcm(*(d // gcd(a, d) for g in gens for a, d in zip(g, factors))))
 
 
 @dataclass(frozen=True)
@@ -514,8 +525,9 @@ def enumerate_submodules(module: FiniteModule, *,
     # the listed generator of <y> among them.  So growing a by the <g> with
     # |a + <g>| / |a| = |<g>| / |a n <g>| prime finds every cover of a, and
     # skipping each g inside a cover already found (`done`) grows each
-    # cover once: one grow per Hasse edge.
-    subs = {1}
+    # cover once: one grow per Hasse edge.  exp(a + <g>) = lcm(exp a, |<g>|)
+    # rides along, keyed by mask.
+    subs = {1: 1}
     queue = [1]
     while queue:
         a = queue.pop()
@@ -526,7 +538,7 @@ def enumerate_submodules(module: FiniteModule, *,
             joined = _grow(module, a, g)
             done |= joined
             if joined not in subs:
-                subs.add(joined)
+                subs[joined] = lcm(subs[a], c.bit_count())
                 if len(subs) > max_lattice:
                     raise SizeGuardError(
                         f"lattice size exceeds the guard {max_lattice}")
@@ -534,7 +546,7 @@ def enumerate_submodules(module: FiniteModule, *,
 
     # ascending positions list the elements in sorted order
     return SubmoduleLattice(module, tuple(
-        Submodule(module, m) for m in sorted(subs, key=bit_positions)), prod(primes))
+        Submodule(module, m, subs[m]) for m in sorted(subs, key=bit_positions)), prod(primes))
 
 
 class SubmoduleLattice:

@@ -293,9 +293,10 @@ def _claim_7(side, inst):
     g = inst.graph(side.graph)
     pis = inst.graph(GraphKind.PIS)
     vs = lat.proper_nonzero()
+    ideals = [side.ideal_of(inst, s) for s in vs]
     for i, j in combinations(range(len(vs)), 2):
         n, k = vs[i], vs[j]
-        a, b = side.ideal_of(inst, n), side.ideal_of(inst, k)
+        a, b = ideals[i], ideals[j]
         if a.is_zero or b.is_zero or a == b:
             continue
         if side.ideal_of(inst, side.meet(lat, n, k)) != rlat.join(a, b):
@@ -366,7 +367,7 @@ def _claim_10(side, inst):
     g = inst.graph(side.graph)
     m = side.metrics(inst)
     vs = inst.lattice.proper_nonzero()
-    noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in g.edges()
+    noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in g.iter_edges()
                           if not _comparable(vs[i], vs[j])), None)
     if noncomparable is not None and m.girth != 3:
         return False, {"noncomparable_edge": noncomparable,
@@ -374,7 +375,7 @@ def _claim_10(side, inst):
     if m.girth > 3:
         # every edge is comparable here; its end nearer the bottom is checked
         flagged = set(side.flagged(inst))
-        for i, j in g.edges():
+        for i, j in g.iter_edges():
             end = vs[i] if side.below(vs[i], vs[j]) else vs[j]
             if end not in flagged:
                 return False, {"edge": [vs[i].label(), vs[j].label()],
@@ -440,11 +441,10 @@ def _claim_14(side, inst):
 # -------------------------------------------------------------- C15/D15
 
 def _dominates(g, picked) -> bool:
-    covered = set()
+    covered = 0
     for i in picked:
-        covered.add(i)
-        covered.update(g.neighbors(i))
-    return len(covered) == g.vertex_count
+        covered |= g.rows[i] | 1 << i
+    return covered == (1 << g.vertex_count) - 1
 
 
 def _claim_15(side, inst):

@@ -64,10 +64,18 @@ MEET_KINDS = frozenset({GraphKind.SSI, GraphKind.SII, GraphKind.SSI_TILDE})
 
 @dataclass(frozen=True)
 class GraphVertex:
+    """A vertex and the member it carries; the label is written on read."""
     index: int
     submodule: Submodule
-    label: str
-    order: int
+    symbol: str  # M for submodules, R for ideals
+
+    @property
+    def label(self) -> str:
+        return self.submodule.label(self.symbol)
+
+    @property
+    def order(self) -> int:
+        return self.submodule.order
 
 
 class SimpleGraph:
@@ -82,7 +90,7 @@ class SimpleGraph:
         self.ring = ring
         self.module = module
         self.vertices = vertices
-        self._adj = rows
+        self.rows = rows
         self._vertex_index = {v.submodule: v.index for v in vertices}
 
     @property
@@ -91,21 +99,26 @@ class SimpleGraph:
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self._adj) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """Every edge (i, j) with i < j, in sorted order."""
-        return [(i, j) for i, row in enumerate(self._adj)
-                for j in bit_positions(row >> i + 1 << i + 1)]
+        return list(self.iter_edges())
+
+    def iter_edges(self):
+        """The edges of `edges()`, read off one row at a time."""
+        for i, row in enumerate(self.rows):
+            for j in bit_positions(row >> i + 1 << i + 1):
+                yield i, j
 
     def adjacent(self, i: int, j: int) -> bool:
-        return bool(self._adj[i] >> j & 1)
+        return bool(self.rows[i] >> j & 1)
 
     def neighbors(self, i: int) -> set:
-        return set(bit_positions(self._adj[i]))
+        return set(bit_positions(self.rows[i]))
 
     def degree(self, i: int) -> int:
-        return self._adj[i].bit_count()
+        return self.rows[i].bit_count()
 
     def vertex_for(self, sub: Submodule) -> GraphVertex:
         """The vertex carrying this submodule (or this ideal)."""
@@ -194,8 +207,7 @@ def _witness_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLatt
             seen |= atoms
             row |= atoms & ~squares
         rows.append(row & ~twice & ~(1 << i))
-    vertices = tuple(GraphVertex(i, s, s.label(symbol), s.order)
-                     for i, s in enumerate(verts))
+    vertices = tuple(GraphVertex(i, s, symbol) for i, s in enumerate(verts))
     return SimpleGraph(kind, module.ring, module, vertices, rows)
 
 
@@ -227,30 +239,10 @@ class GraphMetrics:
     is_star: bool
     star_center: int | None
 
-    def as_dict(self) -> dict:
-        """JSON-ready dict; infinite diameter/girth become null."""
-        def fin(x):
-            return None if x == inf else int(x)
-        return {
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "is_complete": self.is_complete,
-            "is_empty_graph": self.is_empty_graph,
-            "is_connected": self.is_connected,
-            "diameter": fin(self.diameter),
-            "girth": fin(self.girth),
-            "domination_number": self.domination_number,
-            "dominating_set": list(self.dominating_set),
-            "universal_vertices": list(self.universal_vertices),
-            "isolated_vertices": list(self.isolated_vertices),
-            "is_star": self.is_star,
-            "star_center": self.star_center,
-        }
-
 
 def _bfs_distances(g: SimpleGraph, root: int) -> tuple[int, int]:
     """Eccentricity of root within its component, and that component's mask."""
-    adj = g._adj
+    adj = g.rows
     reached = frontier = 1 << root
     ecc = 0
     while True:
@@ -264,13 +256,20 @@ def _bfs_distances(g: SimpleGraph, root: int) -> tuple[int, int]:
         ecc += 1
 
 
+def _within_two(rows: list[int]) -> bool:
+    """Whether every two non-adjacent vertices have a common neighbour."""
+    full = (1 << len(rows)) - 1
+    return all(rows[u] & row for v, row in enumerate(rows)
+               for u in bit_positions(full & ~row >> v + 1 << v + 1))
+
+
 def _girth(g: SimpleGraph) -> float:
     # Layered BFS from every root.  A vertex at depth d with a neighbour
     # at the same depth closes a cycle of length at most 2d+1; one reached
     # from two vertices at depth d closes one of length at most 2d+2.
     # From a root on a shortest cycle the bound is met exactly, so the
     # minimum over roots is the girth.  No simple graph beats 3.
-    adj = g._adj
+    adj = g.rows
     best = inf
     for root in range(g.vertex_count):
         reached = frontier = 1 << root
@@ -298,7 +297,7 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     n = g.vertex_count
     if n == 0:
         return 0, ()
-    closed = [row | 1 << v for v, row in enumerate(g._adj)]
+    closed = [row | 1 << v for v, row in enumerate(g.rows)]
     full = (1 << n) - 1
 
     # closed neighbourhoods are symmetric: v's coverers are closed[v] itself,
@@ -351,6 +350,10 @@ def graph_metrics(g: SimpleGraph) -> GraphMetrics:
         connected = reached == (1 << n) - 1
         if not connected:
             diameter = inf
+        elif is_complete:
+            diameter = 1
+        elif _within_two(g.rows):
+            diameter = 2
         else:
             diameter = max(_bfs_distances(g, root)[0] for root in range(n))
 

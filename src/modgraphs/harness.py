@@ -53,13 +53,9 @@ class Instance:
         self._lattice = None
         self._graphs = {}
         self._metrics = {}
-
-    @property
-    def descriptor(self) -> str:
-        base = self.module.descriptor
-        if self.ring.modulus != lcm(*self.module.invariant_factors):
-            return f"{base}/{self.ring.descriptor}"
-        return base
+        self.descriptor = module.descriptor
+        if self.ring.modulus != lcm(*module.invariant_factors):
+            self.descriptor += f"/{self.ring.descriptor}"
 
     @property
     def lattice(self):

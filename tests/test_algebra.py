@@ -158,10 +158,9 @@ def test_vector_space_lattice_sizes_match_gaussian_binomials(p, k, size):
 def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
     # Enumeration spans each cyclic submodule <x> and its maximal subgroups
     # <qx>, q a prime dividing |<x>|, then climbs the lattice from 0 with
-    # one grow per cover pair a < b, |b|/|a| prime.  Generators are not
-    # picked here, so every grow counted is one of those.
+    # one grow per cover pair a < b, |b|/|a| prime.  Generators are picked
+    # only when read, so every grow counted is one of those.
     grow, calls = algebra._grow, []
-    monkeypatch.setattr(algebra, "_canonical_generators", lambda module, mask: ())
     monkeypatch.setattr(algebra, "_grow",
                         lambda module, closed, g: calls.append(g) or grow(module, closed, g))
     _, module = parse_descriptor(module_text, ring_text)
@@ -330,6 +329,14 @@ def test_labels_on_noncyclic_submodules(z2z4):
 def test_canonical_generators_regenerate(z2z4):
     for s in z2z4.lattice.all:
         assert span(s.module, s.generators).elements == s.elements
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_exponent_carried_up_the_walk_matches_the_span(module_text, ring_text):
+    # enumeration carries exp(a + <g>) = lcm(exp a, |<g>|), span takes the
+    # lcm of the generators' orders; both must name the same exp(N)
+    for s in make_instance(module_text, ring_text).lattice.all:
+        assert span(s.module, s.generators).exponent == s.exponent, s
 
 
 # ----------------------------------------------------------- descriptors

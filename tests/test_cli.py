@@ -241,6 +241,46 @@ def test_check_all_is_byte_stable_on_a_374_member_lattice(capsys):
         0, 3958, "0696bd6bec66bb675df75ad9d81e2253920b43ba94b7cfe9bb2fc96f6b7fdf8e")
 
 
+# (module, kind, format) of a graph export or (family, checks) of a check
+# run -> byte count and sha256 of stdout; the Z4xZ4xZ4 exports carry
+# generator labels, and Z2^6 over Z2 is the 2,825-member lattice
+BYTE_PINS = {
+    ("Z4xZ4xZ4", "pss", "dot"):
+        (74640, "5c00cae83131ae4c757e39e76dfd4b39159c93bb57643cde4bb8ce368b98ae50"),
+    ("Z4xZ4xZ4", "pss", "json"):
+        (163411, "6c8ac0052b05a9fdc6bd3705be35a3ef121b08f12a8ab978b1d9f3e812d05da2"),
+    ("zmod:Z2xZ2xZ2xZ2xZ2xZ2/Z2", "all"):
+        (4052, "6f31385082e6ef69b8a99986cbcfac28228c69f6c2ebae6bf07954f9ce02b409"),
+}
+
+
+@pytest.mark.parametrize("pin", list(BYTE_PINS))
+def test_outputs_match_their_byte_pins(pin, capsys):
+    if len(pin) == 3:
+        module_text, kind, fmt = pin
+        argv = ["graph", "--module", module_text, "--kind", kind, "--format", fmt]
+    else:
+        family, checks = pin
+        argv = ["check", "--family", family, "--checks", checks]
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    blob = out.encode()
+    assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (0, *BYTE_PINS[pin])
+
+
+def test_cyclic_check_picks_no_generators(monkeypatch, capsys):
+    # every member of a cyclic module is dM, so no label, check or witness
+    # needs canonical generators, and the report keeps its bytes
+    def refuse(module, mask):
+        raise AssertionError("canonical generators were picked")
+
+    monkeypatch.setattr(modgraphs.algebra, "_canonical_generators", refuse)
+    code, out, _ = run_cli("check", "--family", "cyclic:2..60", "--checks", "all",
+                           capsys=capsys)
+    blob = out.encode()
+    assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (
+        0, 201888, "39224d92f7c08f2c530acb41926b3bdc10b64755be8f8eec9ae446cf311762b5")
+
+
 def test_findings_do_not_fail_by_default(capsys):
     code, out, _ = run_cli("check", "--family", "zmod:Z12", "--checks", "D9",
                            capsys=capsys)

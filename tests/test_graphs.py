@@ -10,6 +10,8 @@ from test_algebra import FLAG_SAMPLE
 from modgraphs import (
     DescriptorError,
     GraphKind,
+    GraphVertex,
+    SimpleGraph,
     algebra,
     build_graph,
     enumerate_submodules,
@@ -248,11 +250,45 @@ def test_empty_graph_conventions():
     assert not empty.is_star and empty.star_center is None
 
 
-def test_as_dict_maps_infinities_to_null(z6):
-    d = z6.metrics(GraphKind.SSI).as_dict()
-    assert d["diameter"] is None and d["girth"] is None
-    d12 = make_instance("Z12").metrics(GraphKind.SSI).as_dict()
-    assert d12["diameter"] == 2 and d12["girth"] == 3
+# No lattice graph in the samples reaches diameter 3 (C8 forbids it), so
+# the breadth-first fallback behind the complete and diameter-2 shortcuts
+# runs only on graphs built by hand from rows.
+HAND_GRAPHS = {
+    "path P5": (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+    "cycle C6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
+    "cycle C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "two components": (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_GRAPHS))
+def test_diameter_fallback_on_hand_built_graphs(name):
+    n, edges = HAND_GRAPHS[name]
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    _, module = parse_descriptor("Z2xZ2xZ2", "Z2")  # 14 members to carry the vertices
+    carriers = enumerate_submodules(module).proper_nonzero()[:n]
+    g = SimpleGraph(GraphKind.SSI, module.ring, module,
+                    tuple(GraphVertex(i, s, "M") for i, s in enumerate(carriers)), rows)
+    assert g.edges() == sorted(edges)
+    assert graph_metrics(g).diameter == helpers.exhaustive_diameter(g)
+
+
+def test_flags_graphs_and_metrics_pick_no_generators(monkeypatch):
+    # canonical generators are picked only when a label or export reads them
+    def refuse(module, mask):
+        raise AssertionError("canonical generators were picked")
+
+    monkeypatch.setattr(algebra, "_canonical_generators", refuse)
+    inst = make_instance("Z4xZ4xZ4")
+    lat = inst.lattice
+    for s in lat.all:
+        lat.flags(s)
+    lat.properties()
+    for kind in (GraphKind.SSI, GraphKind.PSS):
+        assert inst.metrics(kind).vertex_count == len(lat) - 2
 
 
 # ------------------------------------------------------- metric oracles
