@@ -400,6 +400,12 @@ def bit_positions(mask: int) -> list[int]:
     return out
 
 
+def mask_sort_key(mask: int, _flip=str.maketrans("01", "10")) -> str:
+    """Sorts nonzero masks as bit_positions does: read upward, a set bit is the
+    smaller digit once complemented, and a mask whose bits run out is a prefix."""
+    return bin(mask)[:1:-1].translate(_flip)
+
+
 def _grow(module: FiniteModule, closed: int, g: Element) -> int:
     # Extend the subgroup mask `closed` by the cosets closed + k*g, which
     # already form a subgroup since the group is abelian.  Doubling: with
@@ -546,7 +552,7 @@ def enumerate_submodules(module: FiniteModule, *,
 
     # ascending positions list the elements in sorted order
     return SubmoduleLattice(module, tuple(
-        Submodule(module, m, subs[m]) for m in sorted(subs, key=bit_positions)), prod(primes))
+        Submodule(module, m, subs[m]) for m in sorted(subs, key=mask_sort_key)), prod(primes))
 
 
 class SubmoduleLattice:

@@ -17,7 +17,8 @@ import json
 import re
 import time
 from dataclasses import dataclass, field
-from math import lcm
+from json.encoder import encode_basestring_ascii
+from math import isqrt, lcm
 
 from .algebra import (
     MAX_LATTICE_SIZE,
@@ -34,7 +35,7 @@ from .algebra import (
     second_socle,
 )
 from .checks import CHECKS, CHECKS_BY_ID, REPORT, STRICT, CheckResult, evaluate_check
-from .graphs import IDEAL_KINDS, TILDE_KINDS, GraphKind, build_graph, graph_metrics
+from .graphs import IDEAL_KINDS, TILDE_KINDS, _coerce_kind, _json_list, build_graph, graph_metrics
 
 DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
@@ -103,7 +104,7 @@ class Instance:
         return self.ring_lattice.ideal(self.lattice.colon_divisor(sub))
 
     def graph(self, kind):
-        kind = GraphKind(str(kind))
+        kind = _coerce_kind(kind)
         if kind not in self._graphs:
             if kind in IDEAL_KINDS:
                 g = build_graph(kind, self.ring.as_module(),
@@ -117,7 +118,7 @@ class Instance:
         return self._graphs[kind]
 
     def metrics(self, kind):
-        kind = GraphKind(str(kind))
+        kind = _coerce_kind(kind)
         if kind not in self._metrics:
             self._metrics[kind] = graph_metrics(self.graph(kind))
         return self._metrics[kind]
@@ -145,11 +146,9 @@ def _expand_item(item: str):
     m = _PRODUCT_RE.match(item)
     if m:
         cap = int(m.group(1))
-        a = 2
-        while a * a <= cap:
+        for a in range(2, isqrt(cap) + 1):
             for b in range(a, cap // a + 1):
                 yield lcm(a, b), (a, b)
-            a += 1
         return
     m = _VECTOR_RE.match(item)
     if m:
@@ -221,10 +220,7 @@ class CheckReport:
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "findings": 0, "not_applicable": 0}
         for r in self.results:
-            if r.verdict == "finding":
-                counts["findings"] += 1
-            else:
-                counts[r.verdict] += 1
+            counts["findings" if r.verdict == "finding" else r.verdict] += 1
         return counts
 
     def failures(self) -> list[CheckResult]:
@@ -242,7 +238,19 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2) + "\n"
+        # json.dumps(self.as_dict(), indent=2) + "\n", written from the fixed shape
+        enc, items = encode_basestring_ascii, []
+        for r in self.results:
+            w = ("null" if r.witness is None
+                 else json.dumps(r.witness, indent=2).replace("\n", "\n      "))
+            if self.include_timing:
+                w += f',\n      "millis": {json.dumps(r.millis)}'
+            items.append(f'{{\n      "check": {enc(r.check_id)},\n      "instance": '
+                         f'{enc(r.instance)},\n      "verdict": {enc(r.verdict)},\n'
+                         f'      "witness": {w}\n    }}')
+        summary = json.dumps(self.summary(), indent=2).replace("\n", "\n  ")
+        return (f'{{\n  "suite": {enc(self.suite)},\n  "family": {enc(self.family)},\n'
+                f'  "results": {_json_list(items, "  ")},\n  "summary": {summary}\n}}\n')
 
 
 def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,

@@ -7,10 +7,12 @@ package's enumeration; flags, labels, the second socle, the prime
 radical and module properties come from raw definitional loops over all
 elements and all submodules, joins from closing the union under
 addition; graph edges come from one meet or join per vertex pair, graph
-invariants from Floyd-Warshall and subset search.
+invariants from Floyd-Warshall and subset search, JSON text from
+json.dumps.
 The oracles deliberately avoid the package's enumeration and metric code
 paths.
 """
+import json
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
 from math import gcd, inf, lcm
@@ -382,3 +384,15 @@ def exhaustive_domination(g):
             if covered == everything:
                 return size
     return n
+
+
+def json_dumps_mismatch(text, payload):
+    """None if text is json.dumps(payload, indent=2) + "\\n", else the index
+    where the two first differ and a short stretch of each around it, so a
+    failing assertion prints a few lines rather than diffing whole reports."""
+    want = json.dumps(payload, indent=2) + "\n"
+    if text == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b),
+              min(len(text), len(want)))
+    return at, text[max(at - 60, 0):at + 60], want[max(at - 60, 0):at + 60]

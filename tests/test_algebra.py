@@ -1,6 +1,7 @@
 """Lattice enumeration, classification flags, and module properties."""
 import dataclasses
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -289,6 +290,28 @@ def test_second_socle_and_prime_radical_match_bruteforce(module_text, ring_text)
     for n in lat.all:
         assert second_socle(n, lat).elements == helpers.brute_second_socle(n, lat), n
     assert prime_radical(lat).elements == helpers.brute_prime_radical(lat)
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_members_are_listed_in_bit_positions_order(module_text, ring_text):
+    masks = [s.mask for s in make_instance(module_text, ring_text).lattice.all]
+    assert masks == sorted(masks, key=algebra.bit_positions)
+    assert sorted(reversed(masks), key=algebra.mask_sort_key) == masks
+
+
+def test_mask_sort_key_orders_random_masks_as_bit_positions():
+    rng = random.Random(0)
+    for _ in range(20000):
+        a = rng.getrandbits(rng.randint(1, 90)) | 1
+        # half the pairs share a's low bits, so prefixes and late splits occur
+        if rng.random() < 0.5:
+            low = rng.randint(0, a.bit_length())
+            b = a & ((1 << low) - 1) | rng.getrandbits(rng.randint(1, 90)) << low | 1
+        else:
+            b = rng.getrandbits(rng.randint(1, 90)) | 1
+        ka, kb = algebra.mask_sort_key(a), algebra.mask_sort_key(b)
+        pa, pb = algebra.bit_positions(a), algebra.bit_positions(b)
+        assert (ka < kb, ka == kb) == (pa < pb, pa == pb), (a, b)
 
 
 def test_second_socle_of_single_submodule(z12):

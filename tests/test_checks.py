@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+import helpers
 from conftest import make_instance
 from modgraphs import (CHECKS, CHECKS_BY_ID, GraphKind, Instance, SimpleGraph,
                        evaluate_check, generate_family)
 from modgraphs.checks import REPORT, STRICT, Check
+from modgraphs.harness import CheckReport
 
 
 def run(check_id, inst):
@@ -329,3 +331,15 @@ def test_doctored_graphs_pin_failure_witnesses():
     blob = json.dumps(results).encode()
     assert keys == DOCTORED_WITNESS_KEYS
     assert hashlib.sha256(blob).hexdigest() == DOCTORED_DIGEST
+
+
+@pytest.mark.parametrize("timing", [False, True])
+def test_doctored_report_json_is_json_dumps_of_as_dict(timing):
+    # the failure witnesses hold nested lists and "reason" entries
+    report = CheckReport("all", DOCTORED_FAMILY, include_timing=timing)
+    for base in generate_family(DOCTORED_FAMILY):
+        for _name, doctor in DOCTORINGS:
+            inst = DoctoredInstance(base, doctor)
+            report.results += [evaluate_check(check, inst) for check in CHECKS]
+    assert report.findings() and report.failures()
+    assert helpers.json_dumps_mismatch(report.to_json(), report.as_dict()) is None

@@ -251,6 +251,8 @@ BYTE_PINS = {
         (163411, "6c8ac0052b05a9fdc6bd3705be35a3ef121b08f12a8ab978b1d9f3e812d05da2"),
     ("zmod:Z2xZ2xZ2xZ2xZ2xZ2/Z2", "all"):
         (4052, "6f31385082e6ef69b8a99986cbcfac28228c69f6c2ebae6bf07954f9ce02b409"),
+    ("cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3", "all"):
+        (488363, "e4e5d4c2c1dc61d4bf499644f6996921d3007c8b29efedeaa6014b36cc452e0e"),
 }
 
 

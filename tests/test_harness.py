@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import helpers
 from modgraphs import (
     CHECKS,
     DEFAULT_FAMILY,
@@ -94,6 +95,11 @@ def test_instance_is_lazy():
     _, big = parse_descriptor("Z9999")
     inst = Instance(big)  # no enumeration yet
     assert inst.descriptor == "Z9999"
+    # a bad kind is refused before the lattice is built, as a ValueError
+    with pytest.raises(DescriptorError):
+        inst.graph("sis")
+    with pytest.raises(ValueError):
+        inst.metrics("ssi-tilde")
     with pytest.raises(SizeGuardError):
         inst.lattice
 
@@ -178,6 +184,13 @@ def test_timing_opt_in():
     silent = run_suite("zmod:Z12", checks="C1")
     assert silent.results[0].millis is not None
     assert "millis" not in silent.results[0].as_dict()
+
+
+@pytest.mark.parametrize("family,timing", [(DEFAULT_FAMILY, False),
+                                           ("cyclic:2..24,product:ab<=16", True)])
+def test_report_json_is_json_dumps_of_as_dict(family, timing):
+    report = run_suite(family, checks="all", include_timing=timing)
+    assert helpers.json_dumps_mismatch(report.to_json(), report.as_dict()) is None
 
 
 def test_report_dict_shape():
