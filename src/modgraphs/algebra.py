@@ -400,10 +400,13 @@ def bit_positions(mask: int) -> list[int]:
     return out
 
 
-def mask_sort_key(mask: int, _flip=str.maketrans("01", "10")) -> str:
+_FLIP = str.maketrans("01", "10")
+
+
+def mask_sort_key(mask: int) -> str:
     """Sorts nonzero masks as bit_positions does: read upward, a set bit is the
     smaller digit once complemented, and a mask whose bits run out is a prefix."""
-    return bin(mask)[:1:-1].translate(_flip)
+    return bin(mask)[:1:-1].translate(_FLIP)
 
 
 def _grow(module: FiniteModule, closed: int, g: Element) -> int:

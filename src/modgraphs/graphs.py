@@ -27,9 +27,9 @@ girth, and an empty vertex set has domination number 0.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
-from json.encoder import encode_basestring_ascii
 from math import inf, isqrt
 
 from .algebra import (
@@ -383,12 +383,6 @@ def _element_set_text(sub: Submodule) -> str:
     return "{" + ",".join(_format_element(x) for x in sorted(sub.elements)) + "}"
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    """Lay out encoded items as json.dumps(indent=2) lays out a list at indent."""
-    inner = "\n" + indent + "  "
-    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
-
-
 def export_graph(g: SimpleGraph, fmt: str = "dot") -> str:
     """Serialize a graph to 'dot' or 'json' text, byte-stable."""
     if fmt == "dot":
@@ -401,15 +395,20 @@ def export_graph(g: SimpleGraph, fmt: str = "dot") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        # json.dumps of {kind, ring, module, vertices, edges} with indent=2, written directly
-        enc = encode_basestring_ascii
-        vertices = _json_list([
-            f'{{\n      "id": {v.index},\n      "label": {enc(v.label)},\n      "order": '
-            f'{v.order},\n      "generators": ' + _json_list([_json_list(
-                [str(c) for c in x], "        ") for x in v.submodule.generators], "      ")
-            + "\n    }" for v in g.vertices], "  ")
-        edges = _json_list([f"[\n      {i},\n      {j}\n    ]" for i, j in g.edges()], "  ")
-        return (f'{{\n  "kind": {enc(g.kind.value)},\n  "ring": {enc(g.ring.descriptor)},\n'
-                f'  "module": {enc(g.module.descriptor)},\n  "vertices": {vertices},\n'
-                f'  "edges": {edges}\n}}\n')
+        payload = {
+            "kind": g.kind.value,
+            "ring": g.ring.descriptor,
+            "module": g.module.descriptor,
+            "vertices": [
+                {
+                    "id": v.index,
+                    "label": v.label,
+                    "order": v.order,
+                    "generators": [list(x) for x in v.submodule.generators],
+                }
+                for v in g.vertices
+            ],
+            "edges": [[i, j] for i, j in g.edges()],
+        }
+        return json.dumps(payload, indent=2) + "\n"
     raise DescriptorError(f"unknown export format {fmt!r}; expected dot or json")

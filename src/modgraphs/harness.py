@@ -18,7 +18,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from math import isqrt, lcm
+from math import lcm
 
 from .algebra import (
     MAX_LATTICE_SIZE,
@@ -35,7 +35,7 @@ from .algebra import (
     second_socle,
 )
 from .checks import CHECKS, CHECKS_BY_ID, REPORT, STRICT, CheckResult, evaluate_check
-from .graphs import IDEAL_KINDS, TILDE_KINDS, _coerce_kind, _json_list, build_graph, graph_metrics
+from .graphs import IDEAL_KINDS, TILDE_KINDS, _coerce_kind, build_graph, graph_metrics
 
 DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
@@ -146,9 +146,11 @@ def _expand_item(item: str):
     m = _PRODUCT_RE.match(item)
     if m:
         cap = int(m.group(1))
-        for a in range(2, isqrt(cap) + 1):
+        a = 2
+        while a * a <= cap:
             for b in range(a, cap // a + 1):
                 yield lcm(a, b), (a, b)
+            a += 1
         return
     m = _VECTOR_RE.match(item)
     if m:
@@ -220,7 +222,10 @@ class CheckReport:
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "findings": 0, "not_applicable": 0}
         for r in self.results:
-            counts["findings" if r.verdict == "finding" else r.verdict] += 1
+            if r.verdict == "finding":
+                counts["findings"] += 1
+            else:
+                counts[r.verdict] += 1
         return counts
 
     def failures(self) -> list[CheckResult]:
@@ -248,9 +253,10 @@ class CheckReport:
             items.append(f'{{\n      "check": {enc(r.check_id)},\n      "instance": '
                          f'{enc(r.instance)},\n      "verdict": {enc(r.verdict)},\n'
                          f'      "witness": {w}\n    }}')
+        results = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
         summary = json.dumps(self.summary(), indent=2).replace("\n", "\n  ")
         return (f'{{\n  "suite": {enc(self.suite)},\n  "family": {enc(self.family)},\n'
-                f'  "results": {_json_list(items, "  ")},\n  "summary": {summary}\n}}\n')
+                f'  "results": {results},\n  "summary": {summary}\n}}\n')
 
 
 def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,

@@ -345,29 +345,6 @@ def test_json_export_schema(z12):
     assert export_graph(g, "json").endswith("\n")
 
 
-def _json_payload(g):
-    return {
-        "kind": g.kind.value,
-        "ring": g.ring.descriptor,
-        "module": g.module.descriptor,
-        "vertices": [{"id": v.index, "label": v.label, "order": v.order,
-                      "generators": [list(x) for x in v.submodule.generators]}
-                     for v in g.vertices],
-        "edges": [[i, j] for i, j in g.edges()],
-    }
-
-
-# Z2 has graphs with no vertices; Z4xZ4xZ4 labels members by generators
-@pytest.mark.parametrize("module_text,ring_text",
-                         FLAG_SAMPLE + [("Z2", None), ("Z4xZ4xZ4", None)])
-def test_json_export_is_json_dumps_of_its_payload(module_text, ring_text):
-    inst = make_instance(module_text, ring_text)
-    for kind in GraphKind:
-        g = inst.graph(kind)
-        text = export_graph(g, "json")
-        assert helpers.json_dumps_mismatch(text, _json_payload(g)) is None, kind
-
-
 def test_unknown_export_format(z12):
     with pytest.raises(DescriptorError):
         export_graph(z12.graph(GraphKind.SSI), "gexf")
