@@ -32,9 +32,9 @@ in qM.  None of these needs a join, a meet or another flag family.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from itertools import product as _cartesian
+from typing import NamedTuple
 
 Element = tuple[int, ...]
 
@@ -460,8 +460,7 @@ def span(module: FiniteModule, gens) -> Submodule:
                      lcm(*(d // gcd(a, d) for g in gens for a, d in zip(g, factors))))
 
 
-@dataclass(frozen=True)
-class SubmoduleFlags:
+class SubmoduleFlags(NamedTuple):
     is_prime: bool
     is_second: bool
     is_minimal: bool
@@ -470,8 +469,7 @@ class SubmoduleFlags:
     is_small: bool
 
 
-@dataclass(frozen=True)
-class ModuleProperties:
+class ModuleProperties(NamedTuple):
     coreduced: bool
     reduced: bool
     multiplication: bool

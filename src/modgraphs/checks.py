@@ -17,11 +17,10 @@ is not a mirror, so it is written twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import inf
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphKind
 
@@ -29,8 +28,7 @@ STRICT = "strict"
 REPORT = "report"
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     id: str
     name: str
     mode: str
@@ -39,13 +37,17 @@ class Check:
     notes: str = ""
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    instance: str
-    verdict: str  # pass | fail | finding | not_applicable
-    witness: Optional[dict] = None
-    millis: Optional[float] = None
+    """One check's verdict on one instance; `millis` is set once it is timed."""
+    __slots__ = ("check_id", "instance", "verdict", "witness", "millis")
+
+    def __init__(self, check_id: str, instance: str, verdict: str,
+                 witness: Optional[dict] = None, millis: Optional[float] = None):
+        self.check_id = check_id
+        self.instance = instance
+        self.verdict = verdict  # pass | fail | finding | not_applicable
+        self.witness = witness
+        self.millis = millis
 
     def as_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -59,8 +61,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     """What the order duality swaps between a C check and its D check.
 
     The C side reads the lattice under inclusion and the D side under

@@ -7,7 +7,6 @@ file, 3 size-guard stops.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -116,7 +115,7 @@ def _cmd_classify(args) -> int:
     _ring, module = parse_descriptor(args.module, args.ring)
     inst = Instance(module, max_order=args.max_order)
     lat = inst.lattice
-    prop_items = dataclasses.asdict(inst.props).items()
+    prop_items = inst.props._asdict().items()
     rows = []
     for s in lat.all:
         flags = lat.flags(s)

@@ -28,9 +28,9 @@ girth, and an empty vertex set has domination number 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from math import inf, isqrt
+from typing import NamedTuple
 
 from .algebra import (
     DescriptorError,
@@ -62,8 +62,7 @@ TILDE_KINDS = frozenset({GraphKind.SSI_TILDE, GraphKind.PSS_TILDE})
 MEET_KINDS = frozenset({GraphKind.SSI, GraphKind.SII, GraphKind.SSI_TILDE})
 
 
-@dataclass(frozen=True)
-class GraphVertex:
+class GraphVertex(NamedTuple):
     """A vertex and the member it carries; the label is written on read."""
     index: int
     submodule: Submodule
@@ -223,8 +222,7 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
     return _witness_graph(kind, module, ring_lattice, ideals, "R")
 
 
-@dataclass(frozen=True)
-class GraphMetrics:
+class GraphMetrics(NamedTuple):
     vertex_count: int
     edge_count: int
     is_complete: bool

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import re
 import time
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import lcm
 
@@ -212,12 +211,16 @@ def select_checks(selection: str):
     return [c for c in CHECKS if c.id in wanted]
 
 
-@dataclass
 class CheckReport:
-    suite: str
-    family: str
-    results: list[CheckResult] = field(default_factory=list)
-    include_timing: bool = False
+    """The results of one suite run, in evaluation order."""
+    __slots__ = ("suite", "family", "results", "include_timing")
+
+    def __init__(self, suite: str, family: str, results: list[CheckResult] | None = None,
+                 include_timing: bool = False):
+        self.suite = suite
+        self.family = family
+        self.results = [] if results is None else results
+        self.include_timing = include_timing
 
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "findings": 0, "not_applicable": 0}
@@ -249,7 +252,8 @@ class CheckReport:
             w = ("null" if r.witness is None
                  else json.dumps(r.witness, indent=2).replace("\n", "\n      "))
             if self.include_timing:
-                w += f',\n      "millis": {json.dumps(r.millis)}'
+                w += ',\n      "millis": ' + ("null" if r.millis is None
+                                              else float.__repr__(r.millis))
             items.append(f'{{\n      "check": {enc(r.check_id)},\n      "instance": '
                          f'{enc(r.instance)},\n      "verdict": {enc(r.verdict)},\n'
                          f'      "witness": {w}\n    }}')

@@ -1,5 +1,4 @@
 """Lattice enumeration, classification flags, and module properties."""
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -23,6 +22,7 @@ from modgraphs import (
     span,
 )
 from modgraphs import algebra
+from modgraphs.checks import CHECKS, SSI_SIDE
 
 
 def by_label(lattice, label):
@@ -260,7 +260,33 @@ def test_scaled_and_kernel_masks_match_every_residue(module_text, ring_text):
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
 def test_module_properties_match_definitions(module_text, ring_text):
     lat = make_instance(module_text, ring_text).lattice
-    assert dataclasses.asdict(lat.properties()) == helpers.brute_properties(lat)
+    assert lat.properties()._asdict() == helpers.brute_properties(lat)
+
+
+def test_module_properties_list_the_nine_in_order(z12):
+    assert list(z12.props._asdict()) == [
+        "coreduced", "reduced", "multiplication", "comultiplication", "dac",
+        "strong_comultiplication", "faithful", "hollow", "uniform"]
+
+
+def _frozen_records(inst):
+    lat = inst.lattice
+    records = (lat.flags(lat.all[1]), lat.properties(),
+               inst.graph(GraphKind.SSI).vertices[0], inst.metrics(GraphKind.SSI),
+               CHECKS[0], SSI_SIDE)
+    return {type(r).__name__: r for r in records}
+
+
+@pytest.mark.parametrize("name", ["SubmoduleFlags", "ModuleProperties", "GraphVertex",
+                                  "GraphMetrics", "Check", "Side"])
+def test_frozen_records_are_hashable_values(name, z12):
+    record = _frozen_records(z12)[name]
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    copy = type(record)(*(getattr(record, f) for f in record._fields))
+    assert copy == record and hash(copy) == hash(record)
+    assert record._replace(**{first: object()}) != record
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)

@@ -241,30 +241,30 @@ def test_check_all_is_byte_stable_on_a_374_member_lattice(capsys):
         0, 3958, "0696bd6bec66bb675df75ad9d81e2253920b43ba94b7cfe9bb2fc96f6b7fdf8e")
 
 
-# (module, kind, format) of a graph export or (family, checks) of a check
-# run -> byte count and sha256 of stdout; the Z4xZ4xZ4 exports carry
-# generator labels, and Z2^6 over Z2 is the 2,825-member lattice
+# argv of a graph export, a check run or a classify -> byte count and
+# sha256 of stdout; the Z4xZ4xZ4 exports carry generator labels, Z2^6 over
+# Z2 is the 2,825-member lattice, and classify writes the module properties
+# through ModuleProperties._asdict
 BYTE_PINS = {
-    ("Z4xZ4xZ4", "pss", "dot"):
+    ("graph", "--module", "Z4xZ4xZ4", "--kind", "pss", "--format", "dot"):
         (74640, "5c00cae83131ae4c757e39e76dfd4b39159c93bb57643cde4bb8ce368b98ae50"),
-    ("Z4xZ4xZ4", "pss", "json"):
+    ("graph", "--module", "Z4xZ4xZ4", "--kind", "pss", "--format", "json"):
         (163411, "6c8ac0052b05a9fdc6bd3705be35a3ef121b08f12a8ab978b1d9f3e812d05da2"),
-    ("zmod:Z2xZ2xZ2xZ2xZ2xZ2/Z2", "all"):
+    ("check", "--family", "zmod:Z2xZ2xZ2xZ2xZ2xZ2/Z2", "--checks", "all"):
         (4052, "6f31385082e6ef69b8a99986cbcfac28228c69f6c2ebae6bf07954f9ce02b409"),
-    ("cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3", "all"):
+    ("check", "--family", "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3",
+     "--checks", "all"):
         (488363, "e4e5d4c2c1dc61d4bf499644f6996921d3007c8b29efedeaa6014b36cc452e0e"),
+    ("classify", "--module", "Z720", "--format", "json"):
+        (7511, "2cfbe5ff7abde8c67dabe31c6cef3a3ae2333c19e309ce85a3560b40a53ae819"),
+    ("classify", "--module", "Z2xZ4", "--ring", "Z4096"):
+        (1149, "3bdc1e0e4e1b02f5fee4bb2a1398ef72c5120ba7bacaa772221640d3ed345f25"),
 }
 
 
 @pytest.mark.parametrize("pin", list(BYTE_PINS))
 def test_outputs_match_their_byte_pins(pin, capsys):
-    if len(pin) == 3:
-        module_text, kind, fmt = pin
-        argv = ["graph", "--module", module_text, "--kind", kind, "--format", fmt]
-    else:
-        family, checks = pin
-        argv = ["check", "--family", family, "--checks", checks]
-    code, out, _ = run_cli(*argv, capsys=capsys)
+    code, out, _ = run_cli(*pin, capsys=capsys)
     blob = out.encode()
     assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (0, *BYTE_PINS[pin])
 
@@ -373,6 +373,19 @@ def test_package_runs_as_a_module():
                           capture_output=True, text=True, timeout=60, env=child_env())
     assert_enumerates_z6(proc)
     assert proc.stderr == ""
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every op of a fresh process pays for this import before any lattice
+    # is built; dataclasses alone pulls in inspect, ast and dis
+    probe = ("import sys; before = set(sys.modules); import modgraphs.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "modgraphs.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis"}), sorted(loaded)
 
 
 def test_console_script_entrypoint():
