@@ -114,8 +114,11 @@ class Ring:
 
     def lattice(self, *, max_order: int = MAX_MODULE_ORDER,
                 max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
-        """The ideal lattice, cached after the first call."""
+        """The ideal lattice, cached after the first call; max_order bounds n."""
         if self._lattice is None:
+            if self.modulus > max_order:
+                raise SizeGuardError(f"ring {self.descriptor} order {self.modulus} "
+                                     f"exceeds the guard {max_order}")
             self._lattice = enumerate_submodules(
                 self.as_module(), max_order=max_order, max_lattice=max_lattice)
         return self._lattice
@@ -137,7 +140,7 @@ class Ring:
 class FiniteModule:
     """A finite Z_n-module given as Z_{d_1} x ... x Z_{d_k}, each d_i | n."""
 
-    __slots__ = ("ring", "invariant_factors", "order", "_elements", "_scaled",
+    __slots__ = ("ring", "invariant_factors", "order", "_hash", "_elements", "_scaled",
                  "_kernels", "_repeats", "_unit_spans")
 
     def __init__(self, ring: Ring, invariant_factors: tuple[int, ...]):
@@ -153,6 +156,7 @@ class FiniteModule:
         self.ring = ring
         self.invariant_factors = factors
         self.order = prod(factors)
+        self._hash = hash(("FiniteModule", ring.modulus, factors))
         self._elements = None
         self._scaled = {}
         self._kernels = {}
@@ -259,7 +263,7 @@ class FiniteModule:
                 and other.invariant_factors == self.invariant_factors)
 
     def __hash__(self):
-        return hash(("FiniteModule", self.ring.modulus, self.invariant_factors))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteModule({self.descriptor} over Z{self.ring.modulus})"
@@ -355,7 +359,7 @@ class Submodule:
                 and _same_module(other.module, self.module))
 
     def __hash__(self):
-        return hash((self.module, self.mask))
+        return hash((self.module._hash, self.mask))
 
     def __le__(self, other):
         _require_same_module(self, other)
@@ -423,6 +427,17 @@ def _grow(module: FiniteModule, closed: int, g: Element) -> int:
         step = module.add(step, step)
 
 
+def _cover(module: FiniteModule, closed: int, g: Element, p: int) -> int:
+    # The cover closed + <g> of prime index p: pg lies in closed, so it is
+    # the union of the p cosets closed + kg, k < p, each a translate of the
+    # one before by g.
+    joined = coset = closed
+    for _ in range(p - 1):
+        coset = module.translate(coset, g)
+        joined |= coset
+    return joined
+
+
 def _closure(module: FiniteModule, gens) -> int:
     closed = 1  # the zero element sits at position 0
     for g in gens:
@@ -487,6 +502,7 @@ def module_lattice(module: FiniteModule, *,
     """The submodule lattice of M.  Z_n over itself gets its ring's cached
     ideal lattice, so the module side and the ring side share one
     enumeration."""
+    guard_module_order(module, max_order)  # the module's refusal, not the ring's
     if module == module.ring.as_module():
         return module.ring.lattice(max_order=max_order, max_lattice=max_lattice)
     return enumerate_submodules(module, max_order=max_order, max_lattice=max_lattice)
@@ -507,7 +523,7 @@ def enumerate_submodules(module: FiniteModule, *,
     The cyclic submodules are listed first, once each, under their
     generator of lowest position.  Then each member a found is grown by
     the cyclic ones that give a cover of it, those <g> with
-    |<g>| / |a n <g>| prime, which makes one grow per edge of the Hasse
+    |<g>| / |a n <g>| prime, which makes one step per edge of the Hasse
     diagram.
     """
     guard_module_order(module, max_order)
@@ -529,20 +545,23 @@ def enumerate_submodules(module: FiniteModule, *,
 
     # Every subgroup of a finite abelian group is reached from 0 by steps of
     # prime index, and such a step a -> J is a + <y> for every y in J \ a,
-    # the listed generator of <y> among them.  So growing a by the <g> with
-    # |a + <g>| / |a| = |<g>| / |a n <g>| prime finds every cover of a, and
-    # skipping each g inside a cover already found (`done`) grows each
-    # cover once: one grow per Hasse edge.  exp(a + <g>) = lcm(exp a, |<g>|)
-    # rides along, keyed by mask.
+    # the listed generator of <y> among them.  So stepping from a by the <g>
+    # with |a + <g>| / |a| = |<g>| / |a n <g>| prime finds every cover of a,
+    # and skipping each g inside a cover already found (`done`) steps to
+    # each cover once: one `_cover` per Hasse edge.  exp(a + <g>) =
+    # lcm(exp a, |<g>|) rides along, keyed by mask.
     subs = {1: 1}
     queue = [1]
     while queue:
         a = queue.pop()
         done = a
         for g, bit, c in cyclic:
-            if done & bit or c.bit_count() // (a & c).bit_count() not in primes:
+            if done & bit:
                 continue
-            joined = _grow(module, a, g)
+            p = c.bit_count() // (a & c).bit_count()
+            if p not in primes:
+                continue
+            joined = _cover(module, a, g, p)
             done |= joined
             if joined not in subs:
                 subs[joined] = lcm(subs[a], c.bit_count())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from math import inf
+from math import gcd, inf
 from typing import Callable, NamedTuple, Optional
 
 from .graphs import GraphKind
@@ -78,19 +78,19 @@ class Side(NamedTuple):
     flag: str              # second | prime
     core: str              # witness key of core_of
     meet_name: str         # intersection | sum
-    ideals: str            # witness key of the ideal_of pair
+    ideals: str            # witness key of the pair's two ideals
     spanning: str          # witness key of two lows joining to the top
     endpoint: str          # smaller | larger: an edge's end nearer the bottom
     lows: Callable         # inst -> minimals | maximals
     highs: Callable        # inst -> maximals | minimals
     flagged: Callable      # inst -> seconds | primes
     core_of: Callable      # inst -> second socle | prime radical
-    ideal_of: Callable     # (inst, sub) -> annihilator | colon ideal
+    divisor: Callable      # (lat, sub) -> c with annihilator | colon ideal cZ_n
     meet: Callable         # (lat, a, b) -> meet in the side's order
     join: Callable         # (lat, a, b) -> join in the side's order
     below: Callable        # (a, b) -> a strictly below b in the side's order
     is_bottom: Callable    # sub -> 0 | M
-    is_top: Callable       # sub -> M | 0
+    join_is_top: Callable  # (a, b) -> a + b = M | a n b = 0
     plain: Callable        # props -> coreduced | reduced
     transfers: Callable    # props -> the C7/D7 premise
     simple_shape: Callable  # props -> uniform | hollow
@@ -100,6 +100,15 @@ class Side(NamedTuple):
         return inst.metrics(self.graph)
 
 
+def _sum_is_full(a, b) -> bool:
+    # |A + B| = |A||B| / |A n B|, so A + B = M iff |A||B| = |M||A n B|
+    return a.order * b.order == a.module.order * (a.mask & b.mask).bit_count()
+
+
+def _meet_is_zero(a, b) -> bool:
+    return a.mask & b.mask == 1  # the zero element sits at position 0
+
+
 SSI_SIDE = Side(
     graph=GraphKind.SSI, tilde=GraphKind.PSS_TILDE,
     low="minimal", high="maximal", flag="second", core="second_socle",
@@ -107,10 +116,10 @@ SSI_SIDE = Side(
     spanning="minimal_pair_spanning", endpoint="smaller",
     lows=lambda inst: inst.minimals, highs=lambda inst: inst.maximals,
     flagged=lambda inst: inst.seconds, core_of=lambda inst: inst.sec_socle,
-    ideal_of=lambda inst, sub: inst.ann_ideal(sub),
+    divisor=lambda lat, sub: lat.annihilator_divisor(sub),
     meet=lambda lat, a, b: lat.meet(a, b), join=lambda lat, a, b: lat.join(a, b),
     below=lambda a, b: a < b,
-    is_bottom=lambda sub: sub.is_zero, is_top=lambda sub: sub.is_full,
+    is_bottom=lambda sub: sub.is_zero, join_is_top=_sum_is_full,
     plain=lambda props: props.coreduced,
     transfers=lambda props: props.comultiplication,
     simple_shape=lambda props: props.uniform,
@@ -124,10 +133,10 @@ PSS_SIDE = Side(
     spanning="maximal_pair_meeting_in_zero", endpoint="larger",
     lows=lambda inst: inst.maximals, highs=lambda inst: inst.minimals,
     flagged=lambda inst: inst.primes, core_of=lambda inst: inst.radical,
-    ideal_of=lambda inst, sub: inst.colon_of(sub),
+    divisor=lambda lat, sub: lat.colon_divisor(sub),
     meet=lambda lat, a, b: lat.join(a, b), join=lambda lat, a, b: lat.meet(a, b),
     below=lambda a, b: b < a,
-    is_bottom=lambda sub: sub.is_full, is_top=lambda sub: sub.is_zero,
+    is_bottom=lambda sub: sub.is_full, join_is_top=_meet_is_zero,
     plain=lambda props: props.reduced,
     transfers=lambda props: props.multiplication,
     simple_shape=lambda props: props.hollow,
@@ -290,24 +299,29 @@ def _applies_7(side, inst):
 
 
 def _claim_7(side, inst):
-    lat, rlat = inst.lattice, inst.ring_lattice
+    # The ideal of a member is cZ_n for its divisor c | n: the zero ideal is
+    # c = n, and cZ_n + dZ_n = gcd(c, d)Z_n, so the pair premise is a test
+    # on divisors.  Each divisor's PIS vertex is looked up once.
+    lat, n = inst.lattice, inst.ring.modulus
     g = inst.graph(side.graph)
     pis = inst.graph(GraphKind.PIS)
     vs = lat.proper_nonzero()
-    ideals = [side.ideal_of(inst, s) for s in vs]
+    cs = [side.divisor(lat, s) for s in vs]
+    at = {c: pis.vertex_for(inst.ring_lattice.ideal(c)).index
+          for c in set(cs) if c != n}
     for i, j in combinations(range(len(vs)), 2):
-        n, k = vs[i], vs[j]
-        a, b = ideals[i], ideals[j]
-        if a.is_zero or b.is_zero or a == b:
+        c, d = cs[i], cs[j]
+        if c == n or d == n or c == d:
             continue
-        if side.ideal_of(inst, side.meet(lat, n, k)) != rlat.join(a, b):
+        if side.divisor(lat, side.meet(lat, vs[i], vs[j])) != gcd(c, d):
             continue
         lhs = g.adjacent(i, j)
-        rhs = pis.adjacent(pis.vertex_for(a).index, pis.vertex_for(b).index)
+        rhs = pis.adjacent(at[c], at[d])
         if lhs != rhs:
+            rlat = inst.ring_lattice
             return False, {
-                "pair": [n.label(), k.label()],
-                side.ideals: [a.label("R"), b.label("R")],
+                "pair": [vs[i].label(), vs[j].label()],
+                side.ideals: [rlat.ideal(c).label("R"), rlat.ideal(d).label("R")],
                 f"{side.meet_name}_{side.flag}": lhs,
                 "ideal_sum_prime": rhs,
             }
@@ -318,10 +332,9 @@ def _claim_7(side, inst):
 
 def _claim_8(side, inst):
     m = side.metrics(inst)
-    lat = inst.lattice
     spanning = next(([a.label(), b.label()]
                      for a, b in combinations(side.lows(inst), 2)
-                     if side.is_top(side.join(lat, a, b))), None)
+                     if side.join_is_top(a, b)), None)
     if m.is_connected == (spanning is None) and not (
             m.is_connected and m.diameter > 2):
         return True, None
@@ -337,9 +350,8 @@ def _c9_applies(inst):
 
 
 def _c9_claim(inst):
-    lat = inst.lattice
     for a, b in combinations(inst.maximals, 2):
-        if lat.meet(a, b).is_zero:
+        if _meet_is_zero(a, b):
             return False, {"pair": [a.label(), b.label()]}
     return True, None
 
@@ -349,8 +361,7 @@ def _d9_applies(inst):
 
 
 def _d9_claim(inst):
-    lat = inst.lattice
-    spans = [lat.join(a, b).is_full for a, b in combinations(inst.minimals, 2)]
+    spans = [_sum_is_full(a, b) for a, b in combinations(inst.minimals, 2)]
     literal = all(spans)
     witness = {"minimal_pairs": len(spans),
                "every_pair_spans": literal,

@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="ring descriptor Z<n>; defaults to the lcm "
                              "of the module's factors")
         sp.add_argument("--max-order", type=int, default=MAX_MODULE_ORDER,
-                        help="size guard on the module order "
+                        help="size guard on the module order, and on the "
+                             "ring's when its ideal lattice is needed "
                              f"(default {MAX_MODULE_ORDER})")
         sp.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")
@@ -68,7 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--timing", action="store_true",
                     help="include per-result millis; output is then no "
                          "longer byte-stable")
-    pk.add_argument("--max-order", type=int, default=MAX_MODULE_ORDER)
+    pk.add_argument("--max-order", type=int, default=MAX_MODULE_ORDER,
+                    help="size guard on each module's order and its ring's "
+                         f"(default {MAX_MODULE_ORDER})")
     pk.add_argument("--out", default=None)
     return parser
 

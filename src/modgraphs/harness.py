@@ -246,32 +246,44 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        # json.dumps(self.as_dict(), indent=2) + "\n", written from the fixed shape
-        enc, items = encode_basestring_ascii, []
+        # json.dumps(self.as_dict(), indent=2) + "\n", written from the fixed
+        # shape as one list of pieces joined once
+        enc = encode_basestring_ascii
+        parts = [f'{{\n  "suite": {enc(self.suite)},\n  "family": {enc(self.family)},\n'
+                 '  "results": ']
+        sep = "[\n    "
         for r in self.results:
             w = ("null" if r.witness is None
                  else json.dumps(r.witness, indent=2).replace("\n", "\n      "))
             if self.include_timing:
                 w += ',\n      "millis": ' + ("null" if r.millis is None
                                               else float.__repr__(r.millis))
-            items.append(f'{{\n      "check": {enc(r.check_id)},\n      "instance": '
+            parts.append(f'{sep}{{\n      "check": {enc(r.check_id)},\n      "instance": '
                          f'{enc(r.instance)},\n      "verdict": {enc(r.verdict)},\n'
                          f'      "witness": {w}\n    }}')
-        results = "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+            sep = ",\n    "
         summary = json.dumps(self.summary(), indent=2).replace("\n", "\n  ")
-        return (f'{{\n  "suite": {enc(self.suite)},\n  "family": {enc(self.family)},\n'
-                f'  "results": {results},\n  "summary": {summary}\n}}\n')
+        parts.append("\n  ]" if self.results else "[]")
+        parts.append(f',\n  "summary": {summary}\n}}\n')
+        return "".join(parts)
 
 
 def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,
               include_timing: bool = False,
               max_order: int = MAX_MODULE_ORDER,
               max_lattice: int = MAX_LATTICE_SIZE) -> CheckReport:
-    """Evaluate the selected checks over every instance of the family."""
+    """Evaluate the selected checks over every instance of the family.
+
+    The whole family is built first, so its order guard stops the run
+    before any check; each instance, with its lattice, graphs and metrics,
+    is dropped once its checks have run.
+    """
     selected = select_checks(checks)
     instances = generate_family(family, max_order=max_order, max_lattice=max_lattice)
     report = CheckReport(suite=checks, family=family, include_timing=include_timing)
-    for inst in instances:
+    instances.reverse()
+    while instances:
+        inst = instances.pop()
         for check in selected:
             start = time.perf_counter()
             result = evaluate_check(check, inst)

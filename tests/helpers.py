@@ -7,7 +7,8 @@ package's enumeration; flags, labels, the second socle, the prime
 radical and module properties come from raw definitional loops over all
 elements and all submodules, joins from closing the union under
 addition; graph edges come from one meet or join per vertex pair, graph
-invariants from Floyd-Warshall and subset search, JSON text from
+invariants from Floyd-Warshall and subset search, the C7/D7, C8/D8 and
+C9/D9 claims from lattice joins, meets and ideals, JSON text from
 json.dumps.
 The oracles deliberately avoid the package's enumeration and metric code
 paths.
@@ -335,6 +336,83 @@ def pairwise_edges(kind, lattice, verts):
         holds, combine = lattice.is_prime, lattice.join
     return [(i, j) for i, j in combinations(range(len(verts)), 2)
             if holds(combine(verts[i], verts[j]))]
+
+
+# ---- check claims by their definition: lattice joins and meets, ring
+# ideals and their join, PIS vertices looked up per pair.  The package
+# decides the same claims on divisors, orders and masks.
+
+def brute_transfer_claim(inst, ssi):
+    """C7 (ssi) or D7: adjacency of N, K against the PIS adjacency of
+    their ideals, over the pairs whose ideals are nonzero and distinct and
+    whose meet (C7) or join (D7) has the ring join of the two as ideal."""
+    lat, rlat = inst.lattice, inst.ring_lattice
+    ideal_of, combine = (inst.ann_ideal, lat.meet) if ssi else (inst.colon_of, lat.join)
+    g = inst.graph("ssi" if ssi else "pss")
+    pis = inst.graph("pis")
+    vs = lat.proper_nonzero()
+    ideals = [ideal_of(s) for s in vs]
+    for i, j in combinations(range(len(vs)), 2):
+        a, b = ideals[i], ideals[j]
+        if a.is_zero or b.is_zero or a == b:
+            continue
+        if ideal_of(combine(vs[i], vs[j])) != rlat.join(a, b):
+            continue
+        lhs = g.adjacent(i, j)
+        rhs = pis.adjacent(pis.vertex_for(a).index, pis.vertex_for(b).index)
+        if lhs != rhs:
+            return False, {
+                "pair": [vs[i].label(), vs[j].label()],
+                "annihilators" if ssi else "colon_ideals": [a.label("R"), b.label("R")],
+                "intersection_second" if ssi else "sum_prime": lhs,
+                "ideal_sum_prime": rhs,
+            }
+    return True, None
+
+
+def brute_connectivity_claim(inst, ssi):
+    """C8 (ssi) or D8: connected iff no two minimals join to M (no two
+    maximals meet in 0), and then the diameter is at most 2."""
+    lat = inst.lattice
+    m = inst.metrics("ssi" if ssi else "pss")
+    lows = inst.minimals if ssi else inst.maximals
+    key = "minimal_pair_spanning" if ssi else "maximal_pair_meeting_in_zero"
+    spanning = next(([a.label(), b.label()] for a, b in combinations(lows, 2)
+                     if (lat.join(a, b).is_full if ssi else lat.meet(a, b).is_zero)),
+                    None)
+    if m.is_connected == (spanning is None) and not (m.is_connected and m.diameter > 2):
+        return True, None
+    return False, {"connected": m.is_connected, key: spanning,
+                   "diameter": None if m.diameter == inf else m.diameter}
+
+
+def brute_c9_claim(inst):
+    """No two maximals meet in 0."""
+    lat = inst.lattice
+    for a, b in combinations(inst.maximals, 2):
+        if lat.meet(a, b).is_zero:
+            return False, {"pair": [a.label(), b.label()]}
+    return True, None
+
+
+def brute_d9_claim(inst):
+    """Every two minimals join to M, with the counts of both readings."""
+    lat = inst.lattice
+    spans = [lat.join(a, b).is_full for a, b in combinations(inst.minimals, 2)]
+    return all(spans), {"minimal_pairs": len(spans), "every_pair_spans": all(spans),
+                        "no_pair_spans": not any(spans)}
+
+
+def brute_claims(inst):
+    """(ok, witness) of C7, D7, C8, D8, C9 and D9, hypotheses not tested."""
+    return {
+        "C7": brute_transfer_claim(inst, True),
+        "D7": brute_transfer_claim(inst, False),
+        "C8": brute_connectivity_claim(inst, True),
+        "D8": brute_connectivity_claim(inst, False),
+        "C9": brute_c9_claim(inst),
+        "D9": brute_d9_claim(inst),
+    }
 
 
 # ---- exhaustive graph invariants

@@ -12,6 +12,7 @@ from modgraphs import (
     DescriptorError,
     FiniteModule,
     GraphKind,
+    Instance,
     Ring,
     SizeGuardError,
     build_graph,
@@ -22,7 +23,7 @@ from modgraphs import (
     span,
 )
 from modgraphs import algebra
-from modgraphs.checks import CHECKS, SSI_SIDE
+from modgraphs.checks import CHECKS, CHECKS_BY_ID, SSI_SIDE
 
 
 def by_label(lattice, label):
@@ -158,22 +159,28 @@ def test_vector_space_lattice_sizes_match_gaussian_binomials(p, k, size):
                                                    ("Z4xZ4xZ4", None), ("Z720", None)])
 def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
     # Enumeration spans each cyclic submodule <x> and its maximal subgroups
-    # <qx>, q a prime dividing |<x>|, then climbs the lattice from 0 with
-    # one grow per cover pair a < b, |b|/|a| prime.  Generators are picked
-    # only when read, so every grow counted is one of those.
+    # <qx>, q a prime dividing |<x>|, with one grow each, then climbs the
+    # lattice from 0 with one cover step per cover pair a < b, |b|/|a|
+    # prime.  Generators are picked only when read, so every grow counted
+    # is a span.
     grow, calls = algebra._grow, []
     monkeypatch.setattr(algebra, "_grow",
                         lambda module, closed, g: calls.append(g) or grow(module, closed, g))
+    cover, steps = algebra._cover, []
+    monkeypatch.setattr(algebra, "_cover",
+                        lambda module, closed, g, p: steps.append(p) or cover(module, closed, g, p))
     _, module = parse_descriptor(module_text, ring_text)
     masks = [s.mask for s in enumerate_submodules(module).all]
-    covers = sum(1 for a in masks for b in masks
-                 if a & b == a != b and helpers.is_prime(b.bit_count() // a.bit_count()))
+    # the prime index of each cover pair, counted per prime
+    covers = Counter(b.bit_count() // a.bit_count() for a in masks for b in masks
+                     if a & b == a != b and helpers.is_prime(b.bit_count() // a.bit_count()))
     factors = module.invariant_factors
     cyclic = {helpers.close_under_addition([x], factors)
               for x in helpers.elements_of(factors)} - {frozenset([module.zero])}
     spans = sum(1 + sum(1 for q in helpers.divisors(len(c)) if helpers.is_prime(q))
                 for c in cyclic)
-    assert len(calls) == spans + covers
+    assert len(calls) == spans
+    assert Counter(steps) == covers
 
 
 @pytest.mark.parametrize("module_text,size", [("Z2xZ2xZ4", 27)])
@@ -287,6 +294,19 @@ def test_frozen_records_are_hashable_values(name, z12):
     copy = type(record)(*(getattr(record, f) for f in record._fields))
     assert copy == record and hash(copy) == hash(record)
     assert record._replace(**{first: object()}) != record
+
+
+def closed_form_claims(inst):
+    """The package's verdicts on the checks `helpers.brute_claims` covers,
+    hypotheses not tested."""
+    return {cid: CHECKS_BY_ID[cid].claim(inst) for cid in ("C7", "D7", "C8", "D8", "C9", "D9")}
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_closed_form_claims_match_lattice_oracles(module_text, ring_text):
+    # C7/D7 on divisors, C8/D8 and C9/D9 on orders and masks
+    inst = make_instance(module_text, ring_text)
+    assert closed_form_claims(inst) == helpers.brute_claims(inst)
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -537,6 +557,13 @@ def test_generated_modules_match_oracles(module):
     # self-duality: as many subgroups of order k as of index k
     counts = Counter(s.order for s in lat.all)
     assert all(counts[k] == counts[module.order // k] for k in counts)
+
+
+@given(generated_modules())
+@settings(derandomize=True, deadline=None)
+def test_generated_modules_closed_form_claims_match_oracles(module):
+    inst = Instance(module)
+    assert closed_form_claims(inst) == helpers.brute_claims(inst)
 
 
 @given(st.sampled_from([(12, "Z12"), (16, "Z16"), (18, "Z18"), (8, "Z2xZ4")]),

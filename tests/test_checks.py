@@ -343,3 +343,18 @@ def test_doctored_report_json_is_json_dumps_of_as_dict(timing):
             report.results += [evaluate_check(check, inst) for check in CHECKS]
     assert report.findings() and report.failures()
     assert helpers.json_dumps_mismatch(report.to_json(), report.as_dict()) is None
+
+
+def test_doctored_graphs_reach_every_closed_form_witness():
+    # rewired graphs break C7, D7, C8 and D8; C9 and D9 read the lattice
+    # alone and fail without a hypothesis to hold them back
+    failed = set()
+    for base in generate_family(DOCTORED_FAMILY):
+        for _name, doctor in DOCTORINGS:
+            inst = DoctoredInstance(base, doctor)
+            want = helpers.brute_claims(inst)
+            for cid, (ok, witness) in want.items():
+                assert CHECKS_BY_ID[cid].claim(inst) == (ok, witness), (cid, inst)
+                if not ok:
+                    failed.add(cid)
+    assert failed == {"C7", "D7", "C8", "D8", "C9", "D9"}

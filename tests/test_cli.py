@@ -69,6 +69,18 @@ def test_guard_refuses_before_any_divisor_work(argv, monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--module", "Z2", "--ring", "Z4096", "--max-order", "100"),
+    ("graph", "--module", "Z2", "--ring", "Z4096", "--kind", "ssi_tilde",
+     "--max-order", "100"),
+])
+def test_guard_names_the_ring_when_the_ring_is_refused(argv, capsys):
+    # Z2 is within the guard; the ideal lattice of Z4096 is what is refused
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: ring Z4096 order 4096 exceeds the guard 100\n"
+
+
 def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
     # a million-module family must stop at its first oversized module, not
     # after every module in it has been built
