@@ -113,9 +113,6 @@ class SimpleGraph:
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.rows[i] >> j & 1)
 
-    def neighbors(self, i: int) -> set:
-        return set(bit_positions(self.rows[i]))
-
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
@@ -125,9 +122,6 @@ class SimpleGraph:
             return self.vertices[self._vertex_index[sub]]
         except KeyError:
             raise ValueError(f"{sub!r} is not a vertex of this graph") from None
-
-    def has_vertex(self, sub: Submodule) -> bool:
-        return sub in self._vertex_index
 
     def __repr__(self):
         return (f"SimpleGraph({self.kind}, {self.module.descriptor}, "
@@ -226,16 +220,11 @@ class GraphMetrics(NamedTuple):
     vertex_count: int
     edge_count: int
     is_complete: bool
-    is_empty_graph: bool
     is_connected: bool
     diameter: float
     girth: float
     domination_number: int
-    dominating_set: tuple[int, ...]
     universal_vertices: tuple[int, ...]
-    isolated_vertices: tuple[int, ...]
-    is_star: bool
-    star_center: int | None
 
 
 def _bfs_distances(g: SimpleGraph, root: int) -> tuple[int, int]:
@@ -291,10 +280,10 @@ def _girth(g: SimpleGraph) -> float:
     return best
 
 
-def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
+def _domination(g: SimpleGraph) -> int:
     n = g.vertex_count
     if n == 0:
-        return 0, ()
+        return 0
     closed = [row | 1 << v for v, row in enumerate(g.rows)]
     full = (1 << n) - 1
 
@@ -304,41 +293,32 @@ def _domination(g: SimpleGraph) -> tuple[int, tuple[int, ...]]:
     coverers: dict[int, list[int]] = {}
     max_gain = max(m.bit_count() for m in closed)
 
-    def search(uncovered: int, budget: int, chosen: list[int]) -> list[int] | None:
+    def dominated(uncovered: int, budget: int) -> bool:
         if uncovered == 0:
-            return list(chosen)
+            return True
         left = uncovered.bit_count()
         if budget == 0 or left > budget * max_gain:
-            return None
+            return False
         # no pick covers more than the most any vertex still covers
         if budget > 1 and left > budget * max((c & uncovered).bit_count() for c in closed):
-            return None
+            return False
         v = (uncovered & -uncovered).bit_length() - 1
         if v not in coverers:
             coverers[v] = [u for u in order if closed[v] >> u & 1]
-        for u in coverers[v]:
-            chosen.append(u)
-            got = search(uncovered & ~closed[u], budget - 1, chosen)
-            chosen.pop()
-            if got is not None:
-                return got
-        return None
+        return any(dominated(uncovered & ~closed[u], budget - 1) for u in coverers[v])
 
     k = 1
-    while (got := search(full, k, [])) is None:
+    while not dominated(full, k):
         k += 1
-    return k, tuple(sorted(got))
+    return k
 
 
 def graph_metrics(g: SimpleGraph) -> GraphMetrics:
     """All invariants of one graph, under the documented conventions."""
     n = g.vertex_count
     m = g.edge_count
-    degrees = [g.degree(v) for v in range(n)]
-    universal = tuple(v for v in range(n) if degrees[v] == n - 1)
-    isolated = tuple(v for v in range(n) if degrees[v] == 0)
+    universal = tuple(v for v in range(n) if g.degree(v) == n - 1)
     is_complete = m == n * (n - 1) // 2
-    is_empty = m == 0
 
     if n <= 1:
         connected = True
@@ -355,25 +335,15 @@ def graph_metrics(g: SimpleGraph) -> GraphMetrics:
         else:
             diameter = max(_bfs_distances(g, root)[0] for root in range(n))
 
-    girth = _girth(g)
-    dom_n, dom_set = _domination(g)
-    is_star = n >= 2 and bool(universal) and m == n - 1
-    star_center = universal[0] if is_star else None
-
     return GraphMetrics(
         vertex_count=n,
         edge_count=m,
         is_complete=is_complete,
-        is_empty_graph=is_empty,
         is_connected=connected,
         diameter=diameter,
-        girth=girth,
-        domination_number=dom_n,
-        dominating_set=dom_set,
+        girth=_girth(g),
+        domination_number=_domination(g),
         universal_vertices=universal,
-        isolated_vertices=isolated,
-        is_star=is_star,
-        star_center=star_center,
     )
 
 

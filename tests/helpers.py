@@ -417,6 +417,11 @@ def brute_claims(inst):
 
 # ---- exhaustive graph invariants
 
+def neighbors(g, v):
+    """The neighbours of vertex v, one adjacency test per vertex."""
+    return {u for u in range(g.vertex_count) if g.adjacent(v, u)}
+
+
 def exhaustive_diameter(g):
     n = g.vertex_count
     if n <= 1:
@@ -437,7 +442,7 @@ def exhaustive_girth(g):
     for k in range(3, n + 1):
         for subset in combinations(range(n), k):
             inside = set(subset)
-            if any(len(g.neighbors(v) & inside) < 2 for v in subset):
+            if any(len(neighbors(g, v) & inside) < 2 for v in subset):
                 continue
             first, rest = subset[0], subset[1:]
             for perm in permutations(rest):
@@ -452,7 +457,7 @@ def exhaustive_domination(g):
     n = g.vertex_count
     if n == 0:
         return 0
-    closed = [frozenset({v}) | g.neighbors(v) for v in range(n)]
+    closed = [frozenset({v}) | neighbors(g, v) for v in range(n)]
     everything = set(range(n))
     for size in range(1, n + 1):
         for picked in combinations(range(n), size):
