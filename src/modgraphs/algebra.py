@@ -3,9 +3,11 @@
 A module here is a direct sum of cyclic groups Z_{d_1} x ... x Z_{d_k}
 acted on by Z_n, where every d_i divides n.  Elements are residue tuples,
 the action is coordinatewise multiplication.  Because the action factors
-through repeated addition, every additive subgroup is a submodule.  So
-enumeration lists the cyclic subgroups and climbs from 0 along the covers
-of the subgroup lattice, which are exactly its steps of prime index.
+through repeated addition, every additive subgroup is a submodule.  The
+lattice is the product of those of the Sylow p-parts, so enumeration
+climbs each part alone along its covers, the steps of index p.  rM,
+(0 :_M r), each <e_i> and each submodule of a cyclic Z_d is a coordinate
+submodule g_1 Z_{d_1} + ... + g_k Z_{d_k}, with a mask in closed form.
 
 A submodule is its mask: an int with one bit per element position of
 the module (see `FiniteModule.position`).  Equality, containment, meet
@@ -17,11 +19,12 @@ fact about a number.  N is second iff its exponent, the c with
 Ann_R(N) = cZ_n, is a prime; P is prime iff M/P has prime exponent, the
 c with (P :_R M) = cZ_n; N is minimal iff |N| is prime and maximal iff
 |M/N| is; and the module properties are facts about |M|, exp(M) and n.
-Both exponents are read off with no search: exp(N) is carried up the
-cover walk as exp(a + <g>) = lcm(exp a, |<g>|), exp(M/N) is the lcm of
-the orders |<e_i>| / |<e_i> n N| of e_i + N over the unit generators
-e_i.  dM lies in N for d = exp(M/N), the only d with dM = N if any, so
-N is dM iff |N| = |dM|.
+Both exponents are read off with no search: exp(N) is the product of
+the exponents of its p-parts, each carried up its part's cover walk as
+exp(a + <g>) = max(exp a, |<g>|) (cZ_d in a cyclic Z_d has exponent
+d/c), and exp(M/N) is the lcm of the orders |<e_i>| / |<e_i> n N| of
+e_i + N over the unit generators e_i.  dM lies in N for d = exp(M/N),
+the only d with dM = N if any, so N is dM iff |N| = |dM|.
 
 Let q be the product of the primes dividing exp(M), which enumeration
 finds once and hands to the lattice.  The second socle of N is N n M[q],
@@ -222,36 +225,33 @@ class FiniteModule:
                 mask = (mask & low) << t * weight | (mask & ~low) >> (d - t) * weight
         return mask
 
-    def unit_generators(self) -> tuple[Element, ...]:
-        """The standard generating set: one unit vector per component."""
-        k = len(self.invariant_factors)
-        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-
     def unit_spans(self) -> tuple[int, ...]:
         """The masks of the cyclic components <e_i>, built on first use."""
         if self._unit_spans is None:
-            self._unit_spans = tuple(_grow(self, 1, e) for e in self.unit_generators())
+            factors = self.invariant_factors
+            self._unit_spans = tuple(
+                _coordinate_mask(self, [1 if i == j else d for j, d in enumerate(factors)])
+                for i in range(len(factors)))
         return self._unit_spans
 
     def scaled_mask(self, r: int) -> int:
-        """The mask of rM, spanned by r times each unit generator; cached
+        """The mask of rM = (g_1 Z_{d_1}) + ... for g_i = gcd(r, d_i); cached
         per g = gcd(r, n), which has the same image."""
         g = gcd(r, self.ring.modulus)
         got = self._scaled.get(g)
         if got is None:
-            got = self._scaled[g] = _closure(
-                self, [self.scale(g, e) for e in self.unit_generators()])
+            got = self._scaled[g] = _coordinate_mask(
+                self, [gcd(g, d) for d in self.invariant_factors])
         return got
 
     def kernel_mask(self, r: int) -> int:
-        """The mask of (0 :_M r) = {m : rm = 0}, spanned by d/gcd(r, d) times
-        the unit generator of each factor Z_d; cached per g = gcd(r, n)."""
+        """The mask of (0 :_M r) = {m : rm = 0}, whose part in each factor Z_d
+        is (d/gcd(r, d))Z_d; cached per g = gcd(r, n)."""
         g = gcd(r, self.ring.modulus)
         got = self._kernels.get(g)
         if got is None:
-            got = self._kernels[g] = _closure(
-                self, [self.scale(d // gcd(g, d), e)
-                       for d, e in zip(self.invariant_factors, self.unit_generators())])
+            got = self._kernels[g] = _coordinate_mask(
+                self, [d // gcd(g, d) for d in self.invariant_factors])
         return got
 
     @property
@@ -438,6 +438,19 @@ def _cover(module: FiniteModule, closed: int, g: Element, p: int) -> int:
     return joined
 
 
+def _coordinate_mask(module: FiniteModule, gs) -> int:
+    # The mask of g_1 Z_{d_1} + ... + g_k Z_{d_k}, each g_i | d_i: the
+    # positions whose digit in each factor is a multiple of its g_i, in a
+    # factor of weight w the low w bits of every g*w positions.
+    mask = ones = (1 << module.order) - 1
+    weight = module.order
+    for g, d in zip(gs, module.invariant_factors):
+        weight //= d
+        if g != 1:
+            mask &= ((1 << weight) - 1) * (ones // ((1 << g * weight) - 1))
+    return mask
+
+
 def _closure(module: FiniteModule, gens) -> int:
     closed = 1  # the zero element sits at position 0
     for g in gens:
@@ -518,61 +531,78 @@ def guard_module_order(module: FiniteModule, max_order: int) -> None:
 def enumerate_submodules(module: FiniteModule, *,
                          max_order: int = MAX_MODULE_ORDER,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
-    """Every submodule of M, climbed to from 0 one cover at a time.
+    """Every submodule of M, as the product of the lattices of its Sylow parts.
 
-    The cyclic submodules are listed first, once each, under their
-    generator of lowest position.  Then each member a found is grown by
-    the cyclic ones that give a cover of it, those <g> with
-    |<g>| / |a n <g>| prime, which makes one step per edge of the Hasse
-    diagram.
+    A cyclic Z_d has one submodule cZ_d, of exponent d/c, per divisor c.
+    Otherwise M is the direct sum of its p-parts M[p^a], p^a the p-part of
+    exp(M), and each L(M[p^a]) is walked as the interval [p^a M, M], one
+    cover step per Hasse edge from p^a M, the sum of the other parts.  A
+    member of L(M) is the intersection of one member of each interval, and
+    its exponent the product of theirs.
     """
     guard_module_order(module, max_order)
-    els = module.elements()
     # past the guard, as listing the divisors of a huge exponent is slow;
     # the lattice keeps their product q
-    primes = {q for q in divisors(module.exponent) if _is_prime(q)}
-    cyclic: list[tuple[Element, int, int]] = []  # generator, its bit, span mask
-    seen = 1  # the generators of the cyclic spans so far, and zero
-    while (p := (~seen & (seen + 1)).bit_length() - 1) < module.order:
-        x = els[p]
-        c = gens = _grow(module, 1, x)
-        # y generates <x> iff it lies in no maximal subgroup <qx>, q prime
-        for q in primes:
-            if c.bit_count() % q == 0:
-                gens &= ~_grow(module, 1, module.scale(q, x))
-        seen |= gens
-        cyclic.append((x, 1 << p, c))
+    primes = [q for q in divisors(module.exponent) if _is_prime(q)]
+    if len(module.invariant_factors) == 1:
+        d = module.order
+        parts = [{_coordinate_mask(module, (c,)): d // c for c in divisors(d)}]
+    else:
+        parts = [_sylow_interval(module, p, max_lattice) for p in primes]
+    if prod(map(len, parts)) > max_lattice:
+        raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
+    subs = {(1 << module.order) - 1: 1}
+    for part in parts:
+        subs = {m & pm: e * pe for m, e in subs.items() for pm, pe in part.items()}
+    # ascending positions list the elements in sorted order
+    return SubmoduleLattice(module, tuple(
+        Submodule(module, m, subs[m]) for m in sorted(subs, key=mask_sort_key)), prod(primes))
+
+
+def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int, int]:
+    # The members of [p^a M, M], keyed by mask, with the exponents of their
+    # p-parts.  Each cyclic p-subgroup <x> is spanned once, as the cover of
+    # index p of <px>, and recorded under each of its generators.
+    pa = gcd(module.exponent, p ** module.exponent.bit_length())  # p^a, the p-part of exp(M)
+    els = module.elements()
+    span_of = {0: 1}  # position of each generator spanned so far -> its span
+    cyclic: list[tuple[Element, int, int, int]] = []  # generator, its bit, span, order
+    for pos in bit_positions(module.kernel_mask(pa)):
+        chain = []  # x, px, p^2 x, ... up to the first one spanned
+        while pos not in span_of:
+            chain.append((els[pos], pos))
+            pos = module.position(module.scale(p, els[pos]))
+        c = span_of[pos]
+        for x, pos in reversed(chain):
+            below, c = c, _cover(module, c, x, p)
+            # the generators of <x> are those outside its one maximal subgroup <px>
+            span_of.update(dict.fromkeys(bit_positions(c & ~below), c))
+            cyclic.append((x, 1 << pos, c, c.bit_count()))
 
     # Every subgroup of a finite abelian group is reached from 0 by steps of
     # prime index, and such a step a -> J is a + <y> for every y in J \ a,
     # the listed generator of <y> among them.  So stepping from a by the <g>
-    # with |a + <g>| / |a| = |<g>| / |a n <g>| prime finds every cover of a,
-    # and skipping each g inside a cover already found (`done`) steps to
-    # each cover once: one `_cover` per Hasse edge.  exp(a + <g>) =
-    # lcm(exp a, |<g>|) rides along, keyed by mask.
-    subs = {1: 1}
-    queue = [1]
+    # with |a + <g>| / |a| = |<g>| / |a n <g>| = p finds every cover of a in
+    # the interval, and skipping each g inside a cover already found
+    # (`done`) steps to each cover once.  exp(a + <g>) = max(exp a, |<g>|).
+    start = module.scaled_mask(pa)
+    subs = {start: 1}
+    queue = [start]
     while queue:
         a = queue.pop()
         done = a
-        for g, bit, c in cyclic:
-            if done & bit:
-                continue
-            p = c.bit_count() // (a & c).bit_count()
-            if p not in primes:
+        for g, bit, c, size in cyclic:
+            if done & bit or size != p * (a & c).bit_count():
                 continue
             joined = _cover(module, a, g, p)
             done |= joined
             if joined not in subs:
-                subs[joined] = lcm(subs[a], c.bit_count())
+                subs[joined] = max(subs[a], size)
                 if len(subs) > max_lattice:
                     raise SizeGuardError(
                         f"lattice size exceeds the guard {max_lattice}")
                 queue.append(joined)
-
-    # ascending positions list the elements in sorted order
-    return SubmoduleLattice(module, tuple(
-        Submodule(module, m, subs[m]) for m in sorted(subs, key=mask_sort_key)), prod(primes))
+    return subs
 
 
 class SubmoduleLattice:

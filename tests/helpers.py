@@ -2,8 +2,8 @@
 
 Everything here recomputes results a second way: subgroups come from a
 power-set filter, a divisor walk, a basis parameterization, RREF
-matrices or a closure of every triple of elements instead of the
-package's enumeration; flags, labels, the second socle, the prime
+matrices, a closure of every triple of elements or sumsets of cyclic
+p-subgroups instead of the package's enumeration; flags, labels, the second socle, the prime
 radical and module properties come from raw definitional loops over all
 elements and all submodules, joins from closing the union under
 addition; graph edges come from one meet or join per vertex pair, graph
@@ -156,6 +156,34 @@ def all_triples_subgroups(factors):
     els = elements_of(factors)
     return {close_under_addition(triple, factors)
             for triple in combinations_with_replacement(els, 3)}
+
+
+def is_power_of(k, p):
+    while k % p == 0:
+        k //= p
+    return k == 1
+
+
+def cyclic_p_subgroups(factors, p):
+    """The nonzero cyclic subgroups of p-power order, one closure per element."""
+    spans = {close_under_addition([x], factors) for x in elements_of(factors)}
+    return {c for c in spans if len(c) > 1 and is_power_of(len(c), p)}
+
+
+def p_subgroups(factors, p):
+    """The subgroups of p-power order: from 0, add one cyclic p-subgroup at
+    a time to each subgroup found; S + <x> is the sumset."""
+    cyclic = cyclic_p_subgroups(factors, p)
+    found = {frozenset([(0,) * len(factors)])}
+    frontier = list(found)
+    while frontier:
+        s = frontier.pop()
+        for c in cyclic:
+            t = frozenset(add_mod(a, b, factors) for a in s for b in c)
+            if t not in found:
+                found.add(t)
+                frontier.append(t)
+    return found
 
 
 def gaussian_binomial(p, k, j):

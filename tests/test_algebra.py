@@ -129,7 +129,8 @@ def test_cyclic_lattices_are_divisor_subgroups(n):
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (4, 4), (2, 8), (6, 6), (4, 9),
-                                 (8, 8), (2, 32), (3, 9), (6, 10)])
+                                 (8, 8), (2, 32), (3, 9), (6, 10),
+                                 (12, 36), (6, 30), (10, 20)])
 def test_rank2_lattices_match_basis_parameterization(m, n):
     inst = make_instance(f"Z{m}xZ{n}")
     expected = helpers.rank2_subgroups(m, n)
@@ -156,13 +157,14 @@ def test_vector_space_lattice_sizes_match_gaussian_binomials(p, k, size):
 
 
 @pytest.mark.parametrize("module_text,ring_text", [("Z2xZ2xZ2xZ2xZ2", "Z2"),
-                                                   ("Z4xZ4xZ4", None), ("Z720", None)])
+                                                   ("Z4xZ4xZ4", None), ("Z720", None),
+                                                   ("Z12xZ36", None)])
 def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
-    # Enumeration spans each cyclic submodule <x> and its maximal subgroups
-    # <qx>, q a prime dividing |<x>|, with one grow each, then climbs the
-    # lattice from 0 with one cover step per cover pair a < b, |b|/|a|
-    # prime.  Generators are picked only when read, so every grow counted
-    # is a span.
+    # A cyclic module's submodules are coordinate masks, with no step at
+    # all.  Otherwise, for each prime p, enumeration spans each nonzero
+    # cyclic p-subgroup <x> with one cover step from <px>, then climbs
+    # L(M_p) with one cover step per cover pair a < b, |b|/|a| = p.  No
+    # member is grown by doubling; generators are picked only when read.
     grow, calls = algebra._grow, []
     monkeypatch.setattr(algebra, "_grow",
                         lambda module, closed, g: calls.append(g) or grow(module, closed, g))
@@ -170,17 +172,27 @@ def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
     monkeypatch.setattr(algebra, "_cover",
                         lambda module, closed, g, p: steps.append(p) or cover(module, closed, g, p))
     _, module = parse_descriptor(module_text, ring_text)
-    masks = [s.mask for s in enumerate_submodules(module).all]
-    # the prime index of each cover pair, counted per prime
-    covers = Counter(b.bit_count() // a.bit_count() for a in masks for b in masks
-                     if a & b == a != b and helpers.is_prime(b.bit_count() // a.bit_count()))
+    enumerate_submodules(module)
+    assert calls == []
     factors = module.invariant_factors
-    cyclic = {helpers.close_under_addition([x], factors)
-              for x in helpers.elements_of(factors)} - {frozenset([module.zero])}
-    spans = sum(1 + sum(1 for q in helpers.divisors(len(c)) if helpers.is_prime(q))
-                for c in cyclic)
-    assert len(calls) == spans
-    assert Counter(steps) == covers
+    expected = Counter()
+    if len(factors) > 1:
+        for p in (q for q in helpers.divisors(module.order) if helpers.is_prime(q)):
+            subs = helpers.p_subgroups(factors, p)
+            covers = sum(1 for a in subs for b in subs if a < b and len(b) == p * len(a))
+            expected[p] = len(helpers.cyclic_p_subgroups(factors, p)) + covers
+    assert Counter(steps) == expected
+
+
+def test_lattice_sizes_are_products_over_primes():
+    # L(M) is the product of the lattices of the p-parts: Z6^3 splits into
+    # F_2^3 and F_3^3, Z12xZ36 into Z4xZ4 and Z3xZ9
+    _, z6_cubed = parse_descriptor("Z6xZ6xZ6")
+    assert len(enumerate_submodules(z6_cubed)) == 448 == (
+        helpers.gaussian_subspace_total(2, 3) * helpers.gaussian_subspace_total(3, 3))
+    _, module = parse_descriptor("Z12xZ36")
+    assert len(enumerate_submodules(module)) == 150 == helpers.rank2_count(12, 36) == (
+        helpers.rank2_count(4, 4) * helpers.rank2_count(3, 9))
 
 
 @pytest.mark.parametrize("module_text,size", [("Z2xZ2xZ4", 27)])
@@ -253,7 +265,8 @@ def test_labels_match_bruteforce(module_text, ring_text):
         assert ideal.label("R") == helpers.brute_label(ideal, "R"), ideal
 
 
-@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+@pytest.mark.parametrize("module_text,ring_text",
+                         FLAG_SAMPLE + [("Z2xZ6xZ6", None), ("Z2xZ6xZ30", "Z30")])
 def test_scaled_and_kernel_masks_match_every_residue(module_text, ring_text):
     module = make_instance(module_text, ring_text).module
     els = module.elements()
@@ -262,6 +275,10 @@ def test_scaled_and_kernel_masks_match_every_residue(module_text, ring_text):
         killed = frozenset(m for m in els if module.scale(r, m) == module.zero)
         assert module.elements_in(module.scaled_mask(r)) == image, r
         assert module.elements_in(module.kernel_mask(r)) == killed, r
+    factors = module.invariant_factors
+    for i, c in enumerate(module.unit_spans()):
+        e = tuple(int(i == j) for j in range(len(factors)))
+        assert module.elements_in(c) == helpers.close_under_addition([e], factors), i
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -453,11 +470,19 @@ def test_lattice_size_guard():
 
 
 def test_lattice_size_guard_counts_cyclic_submodules():
-    # all 30 submodules of Z720 are cyclic, and the climb from 0 meets
-    # more than 10 of them
+    # Z720 has 30 submodules, one dZ720 per divisor d, more than 10
     _, module = parse_descriptor("Z720")
     with pytest.raises(SizeGuardError):
         enumerate_submodules(module, max_lattice=10)
+
+
+def test_lattice_size_guard_counts_the_product_of_the_parts():
+    # the parts of Z6^3 have 16 and 28 members, each under the guard, but
+    # their product has 448
+    _, module = parse_descriptor("Z6xZ6xZ6")
+    with pytest.raises(SizeGuardError, match="lattice size exceeds the guard 100"):
+        enumerate_submodules(module, max_lattice=100)
+    assert len(enumerate_submodules(module, max_lattice=448)) == 448
 
 
 # ------------------------------------------------------------ properties
