@@ -376,23 +376,24 @@ def _applies_10(side, inst):
 
 
 def _claim_10(side, inst):
-    g = inst.graph(side.graph)
     m = side.metrics(inst)
+    if m.girth == 3:  # a triangle answers both branches below
+        return True, None
+    g = inst.graph(side.graph)
     vs = inst.lattice.proper_nonzero()
     noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in g.iter_edges()
                           if not _comparable(vs[i], vs[j])), None)
-    if noncomparable is not None and m.girth != 3:
+    if noncomparable is not None:
         return False, {"noncomparable_edge": noncomparable,
                        "girth": None if m.girth == inf else m.girth}
-    if m.girth > 3:
-        # every edge is comparable here; its end nearer the bottom is checked
-        flagged = set(side.flagged(inst))
-        for i, j in g.iter_edges():
-            end = vs[i] if side.below(vs[i], vs[j]) else vs[j]
-            if end not in flagged:
-                return False, {"edge": [vs[i].label(), vs[j].label()],
-                               f"{side.endpoint}_endpoint": end.label(),
-                               f"{side.endpoint}_endpoint_{side.flag}": False}
+    # every edge is comparable here; its end nearer the bottom is checked
+    flagged = set(side.flagged(inst))
+    for i, j in g.iter_edges():
+        end = vs[i] if side.below(vs[i], vs[j]) else vs[j]
+        if end not in flagged:
+            return False, {"edge": [vs[i].label(), vs[j].label()],
+                           f"{side.endpoint}_endpoint": end.label(),
+                           f"{side.endpoint}_endpoint_{side.flag}": False}
     return True, None
 
 

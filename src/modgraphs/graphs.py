@@ -24,6 +24,14 @@ Conventions for the invariants live in `graph_metrics`: graphs on at
 most one vertex count as connected and complete with diameter 0, a
 disconnected graph has infinite diameter, an acyclic graph has infinite
 girth, and an empty vertex set has domination number 0.
+
+The domination number is found by iterative deepening, branching on the
+uncovered vertex with the fewest coverers (tried by falling gain); the
+last pick is one AND of the rest's closed rows, sparsest first, and
+`DOMINATION_NODES` bounds the search.  The diameter-2 test first clears
+the rows of v's `HUBS` highest-degree neighbours from its non-neighbours.
+SSI(M) and PSS(M) are isomorphic (N -> N^perp), so `Instance.metrics`
+computes one record per pair.
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ from .algebra import (
     DescriptorError,
     FiniteModule,
     Ring,
+    SizeGuardError,
     Submodule,
     SubmoduleLattice,
     _format_element,
@@ -216,6 +225,10 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
     return _witness_graph(kind, module, ring_lattice, ideals, "R")
 
 
+HUBS = 16  # highest-degree vertices whose rows `_within_two` clears first
+DOMINATION_NODES = 1_000_000  # nodes `_domination` visits on one graph before it refuses
+
+
 class GraphMetrics(NamedTuple):
     vertex_count: int
     edge_count: int
@@ -245,9 +258,17 @@ def _bfs_distances(g: SimpleGraph, root: int) -> tuple[int, int]:
 
 def _within_two(rows: list[int]) -> bool:
     """Whether every two non-adjacent vertices have a common neighbour."""
-    full = (1 << len(rows)) - 1
-    return all(rows[u] & row for v, row in enumerate(rows)
-               for u in bit_positions(full & ~row >> v + 1 << v + 1))
+    n = len(rows)
+    full = (1 << n) - 1
+    hubs = sorted(range(n), key=lambda u: -rows[u].bit_count())[:HUBS]
+    for v, row in enumerate(rows):
+        far = full & ~row >> v + 1 << v + 1
+        for h in hubs:
+            if row >> h & 1:  # h is a common neighbour of v and all of h's
+                far &= ~rows[h]
+        if any(not rows[u] & row for u in bit_positions(far)):
+            return False
+    return True
 
 
 def _girth(g: SimpleGraph) -> float:
@@ -285,39 +306,58 @@ def _domination(g: SimpleGraph) -> int:
     if n == 0:
         return 0
     closed = [row | 1 << v for v, row in enumerate(g.rows)]
-    full = (1 << n) - 1
+    # closed neighbourhoods are symmetric: v's coverers are closed[v]
+    scarce = sorted(range(n), key=lambda u: closed[u].bit_count())
+    nodes = 0
 
-    # closed neighbourhoods are symmetric: v's coverers are closed[v] itself,
-    # tried by falling closed degree, then index
-    order = sorted(range(n), key=lambda u: (-closed[u].bit_count(), u))
-    coverers: dict[int, list[int]] = {}
-    max_gain = max(m.bit_count() for m in closed)
+    def scarce_first(uncovered: int):
+        """The uncovered vertices, those with the fewest coverers first."""
+        bits = bin(uncovered)[:1:-1].ljust(n, "0")
+        return (u for u in scarce if bits[u] == "1")
 
     def dominated(uncovered: int, budget: int) -> bool:
-        if uncovered == 0:
+        nonlocal nodes
+        nodes += 1
+        if nodes > DOMINATION_NODES:
+            raise SizeGuardError(
+                f"domination search on {g.kind.value} of {g.module.descriptor} "
+                f"exceeded {DOMINATION_NODES} nodes")
+        if budget == 1:
+            # one vertex covers the rest iff their closed rows share a bit
+            common = -1
+            for u in scarce_first(uncovered):
+                common &= closed[u]
+                if not common:
+                    return False
             return True
-        left = uncovered.bit_count()
-        if budget == 0 or left > budget * max_gain:
-            return False
         # no pick covers more than the most any vertex still covers
-        if budget > 1 and left > budget * max((c & uncovered).bit_count() for c in closed):
+        gains = [(c & uncovered).bit_count() for c in closed]
+        if uncovered.bit_count() > budget * max(gains):
             return False
-        v = (uncovered & -uncovered).bit_length() - 1
-        if v not in coverers:
-            coverers[v] = [u for u in order if closed[v] >> u & 1]
-        return any(dominated(uncovered & ~closed[u], budget - 1) for u in coverers[v])
+        # the vertex with the fewest coverers, its coverers tried by falling gain
+        v = next(scarce_first(uncovered))
+        for u in sorted(bit_positions(closed[v]), key=lambda u: -gains[u]):
+            rest = uncovered & ~closed[u]
+            if not rest or dominated(rest, budget - 1):
+                return True
+        return False
 
     k = 1
-    while not dominated(full, k):
+    while not dominated((1 << n) - 1, k):
         k += 1
     return k
+
+
+def universal_vertices(g: SimpleGraph) -> tuple[int, ...]:
+    """The vertices adjacent to every other vertex."""
+    others = g.vertex_count - 1
+    return tuple(v for v, row in enumerate(g.rows) if row.bit_count() == others)
 
 
 def graph_metrics(g: SimpleGraph) -> GraphMetrics:
     """All invariants of one graph, under the documented conventions."""
     n = g.vertex_count
     m = g.edge_count
-    universal = tuple(v for v in range(n) if g.degree(v) == n - 1)
     is_complete = m == n * (n - 1) // 2
 
     if n <= 1:
@@ -343,7 +383,7 @@ def graph_metrics(g: SimpleGraph) -> GraphMetrics:
         diameter=diameter,
         girth=_girth(g),
         domination_number=_domination(g),
-        universal_vertices=universal,
+        universal_vertices=universal_vertices(g),
     )
 
 

@@ -34,7 +34,10 @@ from .algebra import (
     second_socle,
 )
 from .checks import CHECKS, CHECKS_BY_ID, REPORT, STRICT, CheckResult, evaluate_check
-from .graphs import IDEAL_KINDS, TILDE_KINDS, _coerce_kind, build_graph, graph_metrics
+from .graphs import (IDEAL_KINDS, TILDE_KINDS, GraphKind, _coerce_kind, build_graph,
+                     graph_metrics, universal_vertices)
+
+_TWINS = {GraphKind.SSI: GraphKind.PSS, GraphKind.PSS: GraphKind.SSI}
 
 DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
@@ -117,9 +120,17 @@ class Instance:
         return self._graphs[kind]
 
     def metrics(self, kind):
+        """The graph's invariants, computed once per SSI/PSS pair: N -> N^perp
+        into the character group M^ (isomorphic to M) reverses inclusion and
+        gives exp(N) = exp(M^/N^perp), so it maps SSI(M) onto PSS(M).  The
+        second kind asked for reads the first's record but for the indices
+        in `universal_vertices`."""
         kind = _coerce_kind(kind)
         if kind not in self._metrics:
-            self._metrics[kind] = graph_metrics(self.graph(kind))
+            g = self.graph(kind)
+            twin = self._metrics.get(_TWINS.get(kind))
+            self._metrics[kind] = (graph_metrics(g) if twin is None else
+                                   twin._replace(universal_vertices=universal_vertices(g)))
         return self._metrics[kind]
 
     def __repr__(self):

@@ -7,7 +7,7 @@ import pytest
 import helpers
 from conftest import make_instance
 from modgraphs import (CHECKS, CHECKS_BY_ID, GraphKind, Instance, SimpleGraph,
-                       evaluate_check, generate_family)
+                       evaluate_check, generate_family, graph_metrics)
 from modgraphs.checks import REPORT, STRICT, Check
 from modgraphs.harness import CheckReport
 
@@ -274,6 +274,13 @@ class DoctoredInstance(Instance):
                 self._graphs[kind] = SimpleGraph(
                     kind, real.ring, real.module, real.vertices, rows)
         return self._graphs[kind]
+
+    def metrics(self, kind):
+        # rewired graphs need not be dual, so no record is read off the twin
+        kind = GraphKind(str(kind))
+        if kind not in self._metrics:
+            self._metrics[kind] = graph_metrics(self.graph(kind))
+        return self._metrics[kind]
 
 
 # sha256 of json.dumps([[doctoring, result.as_dict()], ...]) in run order

@@ -101,6 +101,15 @@ def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
     assert len(built) == 8  # Z4090..Z4097, each built once
 
 
+def test_domination_search_is_bounded(monkeypatch, capsys):
+    # past its node budget the search refuses, naming the stage and graph
+    monkeypatch.setattr(modgraphs.graphs, "DOMINATION_NODES", 5)
+    code, out, err = run_cli("check", "--family", "zmod:Z5xZ5xZ5/Z5", "--checks", "D15",
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: domination search on pss of Z5xZ5xZ5 exceeded 5 nodes\n"
+
+
 def test_ideal_graph_on_module_is_an_error(capsys):
     code, _, err = run_cli("graph", "--module", "Z2xZ4", "--ring", "Z4",
                            "--kind", "pis", capsys=capsys)
@@ -264,6 +273,8 @@ BYTE_PINS = {
         (163411, "6c8ac0052b05a9fdc6bd3705be35a3ef121b08f12a8ab978b1d9f3e812d05da2"),
     ("check", "--family", "zmod:Z2xZ2xZ2xZ2xZ2xZ2/Z2", "--checks", "all"):
         (4052, "6f31385082e6ef69b8a99986cbcfac28228c69f6c2ebae6bf07954f9ce02b409"),
+    ("check", "--family", "zmod:Z3xZ3xZ3xZ3xZ3/Z3", "--checks", "all"):
+        (3959, "92f513afda16090fb7952caa4339fb8eeb341786ba878eaf7bcc90ff24a6ae29"),
     ("check", "--family", "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3",
      "--checks", "all"):
         (488363, "e4e5d4c2c1dc61d4bf499644f6996921d3007c8b29efedeaa6014b36cc452e0e"),
@@ -293,6 +304,19 @@ def test_cyclic_check_picks_no_generators(monkeypatch, capsys):
     blob = out.encode()
     assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (
         0, 201888, "39224d92f7c08f2c530acb41926b3bdc10b64755be8f8eec9ae446cf311762b5")
+
+
+def test_girth_three_decides_c10_without_an_edge_scan(monkeypatch, capsys):
+    # both graphs of Z4xZ4xZ4 have a triangle, which passes C10/D10 outright
+    argv = ("check", "--family", "zmod:Z4xZ4xZ4", "--checks", "C10,D10")
+    want = run_cli(*argv, capsys=capsys)
+    assert json.loads(want[1])["summary"]["pass"] == 2
+
+    def refuse(self):
+        raise AssertionError("an edge scan ran")
+
+    monkeypatch.setattr(modgraphs.graphs.SimpleGraph, "iter_edges", refuse)
+    assert run_cli(*argv, capsys=capsys) == want
 
 
 def test_findings_do_not_fail_by_default(capsys):

@@ -1,8 +1,10 @@
 """Graph construction, invariants, and exports."""
 import json
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from conftest import make_instance
@@ -22,6 +24,7 @@ from modgraphs import (
     parse_descriptor,
     span,
 )
+from modgraphs.graphs import _domination
 
 INF = math.inf
 
@@ -253,29 +256,62 @@ def test_empty_graph_conventions():
     assert empty.universal_vertices == ()
 
 
+def graph_from_edges(n, edges):
+    """A graph on n <= 65 vertices with these edges, its vertices carried by
+    the proper nonzero members of Z2^4 over Z2."""
+    rows = [0] * n
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    _, module = parse_descriptor("Z2xZ2xZ2xZ2", "Z2")
+    carriers = enumerate_submodules(module).proper_nonzero()[:n]
+    return SimpleGraph(GraphKind.SSI, module.ring, module,
+                       tuple(GraphVertex(i, s, "M") for i, s in enumerate(carriers)), rows)
+
+
+def _clique(vertices):
+    return list(combinations(vertices, 2))
+
+
 # No lattice graph in the samples reaches diameter 3 (C8 forbids it), so
 # the breadth-first fallback behind the complete and diameter-2 shortcuts
-# runs only on graphs built by hand from rows.
+# runs only on graphs built by hand from rows.  The last two have more
+# vertices than `graphs.HUBS`: in the first, vertex 0 has no hub for a
+# neighbour and 0, 3 are at distance 3; in the second, vertex 1's hubs
+# leave the far clique's vertices for the pair loop.
 HAND_GRAPHS = {
     "path P5": (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
     "cycle C6": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]),
     "cycle C5": (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
     "two components": (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+    "path into K20": (24, [(0, 1), (1, 2), (2, 3), (3, 4)] + _clique(range(4, 24))),
+    "two K10 and a bridge": (20, _clique(range(10)) + _clique(range(10, 20)) + [(0, 10)]),
 }
 
 
 @pytest.mark.parametrize("name", list(HAND_GRAPHS))
 def test_diameter_fallback_on_hand_built_graphs(name):
     n, edges = HAND_GRAPHS[name]
-    rows = [0] * n
-    for i, j in edges:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    _, module = parse_descriptor("Z2xZ2xZ2", "Z2")  # 14 members to carry the vertices
-    carriers = enumerate_submodules(module).proper_nonzero()[:n]
-    g = SimpleGraph(GraphKind.SSI, module.ring, module,
-                    tuple(GraphVertex(i, s, "M") for i, s in enumerate(carriers)), rows)
+    g = graph_from_edges(n, edges)
     assert g.edges() == sorted(edges)
+    assert graph_metrics(g).diameter == helpers.exhaustive_diameter(g)
+    assert _domination(g) == helpers.exhaustive_domination(g)
+
+
+@st.composite
+def random_graphs(draw):
+    """Up to 12 vertices, each pair an edge with one of several densities."""
+    n = draw(st.integers(0, 12))
+    percent = draw(st.sampled_from([10, 30, 50, 70, 90]))
+    pairs = list(combinations(range(n), 2))
+    coins = draw(st.lists(st.integers(0, 99), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [pair for pair, c in zip(pairs, coins) if c < percent])
+
+
+@given(random_graphs())
+@settings(derandomize=True, deadline=None)
+def test_search_metrics_are_exact_on_random_graphs(g):
+    assert _domination(g) == helpers.exhaustive_domination(g)
     assert graph_metrics(g).diameter == helpers.exhaustive_diameter(g)
 
 
@@ -330,12 +366,14 @@ def test_domination_at_lattice_scale(module_text, ring_text, gamma, kind):
 # inclusion and exp(M^/N^perp) = exp(N); so it maps SSI(M) onto PSS(M)
 DUALITY_FAMILY = ",".join([DEFAULT_FAMILY] + [
     f"zmod:{m}" for m in ("Z16xZ16", "Z4xZ4xZ4", "Z5xZ5xZ5/Z5", "Z2xZ4xZ8",
-                          "Z2xZ2xZ2xZ2/Z2", "Z2xZ2xZ2xZ2xZ2/Z2", "Z3xZ3xZ3xZ3/Z3")])
+                          "Z2xZ2xZ2xZ2/Z2", "Z2xZ2xZ2xZ2xZ2/Z2", "Z3xZ3xZ3xZ3/Z3",
+                          "Z3xZ3xZ3xZ3xZ3/Z3")])
 
 
 def test_ssi_and_pss_are_isomorphic_by_duality():
     def invariants(inst, kind):
-        g, m = inst.graph(kind), inst.metrics(kind)
+        g = inst.graph(kind)
+        m = graph_metrics(g)
         return (sorted(g.degree(v) for v in range(g.vertex_count)), m.edge_count,
                 m.is_connected, m.diameter, m.girth, m.domination_number,
                 len(m.universal_vertices))
@@ -345,6 +383,17 @@ def test_ssi_and_pss_are_isomorphic_by_duality():
     for inst in family:
         assert invariants(inst, GraphKind.SSI) == invariants(inst, GraphKind.PSS), \
             inst.descriptor
+
+
+@pytest.mark.parametrize("first,second", [(GraphKind.SSI, GraphKind.PSS),
+                                          (GraphKind.PSS, GraphKind.SSI)])
+def test_metrics_read_off_the_twin_match_the_graph(first, second):
+    # Instance.metrics computes the first kind asked for and reads the
+    # second off it; that record must be the second graph's own
+    for inst in generate_family(DUALITY_FAMILY):
+        inst.metrics(first)
+        read = inst.metrics(second)
+        assert read._asdict() == graph_metrics(inst.graph(second))._asdict(), inst.descriptor
 
 
 def test_girth_on_dense_graph():
