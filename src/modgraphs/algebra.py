@@ -77,7 +77,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_ATOM_RE = re.compile(r"^Z([0-9]+)$")
+# at most 640 digits, the least limit Python may put on int(str)
+_NUMBER = "([0-9]{1,640})"
+_ATOM_RE = re.compile(f"^Z{_NUMBER}$")
 
 
 def _parse_atoms(text: str) -> tuple[int, ...]:
@@ -179,9 +181,6 @@ class FiniteModule:
         if self._elements is None:
             self._elements = tuple(_cartesian(*(range(d) for d in self.invariant_factors)))
         return self._elements
-
-    def add(self, x: Element, y: Element) -> Element:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
 
     def scale(self, r: int, x: Element) -> Element:
         return tuple((r * a) % d for a, d in zip(x, self.invariant_factors))
@@ -424,7 +423,7 @@ def _grow(module: FiniteModule, closed: int, g: Element) -> int:
         if grown == closed:
             return closed
         closed = grown
-        step = module.add(step, step)
+        step = module.scale(2, step)
 
 
 def _cover(module: FiniteModule, closed: int, g: Element, p: int) -> int:
@@ -524,8 +523,10 @@ def module_lattice(module: FiniteModule, *,
 def guard_module_order(module: FiniteModule, max_order: int) -> None:
     """Refuse a module of more than max_order elements."""
     if module.order > max_order:
-        raise SizeGuardError(
-            f"module order {module.order} exceeds the guard {max_order}")
+        # past 2^64 by its bit length, as str() refuses an int of over 4,300 digits
+        bits = module.order.bit_length()
+        shown = module.order if bits <= 64 else f"at least 2^{bits - 1}"
+        raise SizeGuardError(f"module order {shown} exceeds the guard {max_order}")
 
 
 def enumerate_submodules(module: FiniteModule, *,
@@ -617,8 +618,8 @@ class SubmoduleLattice:
     minimal and maximal on |N| and |M/N|; large and small compare the
     mask with M[q] and qM, for `prime_product` q.  The module properties
     are facts about |M|, exp(M), q and n, apart from hollow and uniform,
-    which read the small and large flags.  Every flag family is computed
-    lazily and cached.
+    which read the small and large flags.  Each flag is computed on every
+    call; the seconds, primes, minimals and maximals are kept once listed.
     """
 
     def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
@@ -630,7 +631,6 @@ class SubmoduleLattice:
         self._by_order: dict[int, list[int]] = {}
         for i, s in enumerate(members):
             self._by_order.setdefault(s.order, []).append(i)
-        self._flag_lists: dict[str, list[bool]] = {}
         self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
         self._props = None
 
@@ -709,96 +709,70 @@ class SubmoduleLattice:
         """The residues of Ann_R(sub)."""
         return frozenset(range(0, self.module.ring.modulus, self.annihilator_divisor(sub)))
 
-    def _second_flags(self) -> list[bool]:
+    def is_second(self, sub: Submodule) -> bool:
         # rN = N iff r is prime to exp(N), and rN = 0 iff exp(N) | r; every r
         # does one or the other iff exp(N) is a prime (N = 0 has exponent 1)
-        return [_is_prime(self.annihilator_divisor(s)) for s in self.all]
+        return _is_prime(self.annihilator_divisor(sub))
 
-    def _prime_flags(self) -> list[bool]:
+    def is_prime(self, sub: Submodule) -> bool:
         # dually, r acts on M/P as 0 or injectively for every r iff exp(M/P)
         # is a prime (P = M has exponent 1)
-        return [_is_prime(self.colon_divisor(s)) for s in self.all]
+        return _is_prime(self.colon_divisor(sub))
 
-    def _minimal_flags(self) -> list[bool]:
+    def is_minimal(self, sub: Submodule) -> bool:
         # a group of composite order has a subgroup of prime order; M itself
         # is never minimal, so a simple M has no minimal submodule
-        return [not s.is_full and _is_prime(s.order) for s in self.all]
+        self.index_of(sub)
+        return not sub.is_full and _is_prime(sub.order)
 
-    def _maximal_flags(self) -> list[bool]:
+    def is_maximal(self, sub: Submodule) -> bool:
         # dually, a quotient of composite order has a proper nonzero subgroup
-        order = self.module.order
-        return [not s.is_zero and _is_prime(order // s.order) for s in self.all]
+        self.index_of(sub)
+        return not sub.is_zero and _is_prime(self.module.order // sub.order)
 
-    def _large_flags(self) -> list[bool]:
+    def is_large(self, sub: Submodule) -> bool:
         # every nonzero submodule contains one of prime order, which meets S
         # nontrivially only inside S, and those span M[q]: S is large iff it
         # contains M[q] (for a simple M that is M itself)
+        self.index_of(sub)
         socle = self.module.kernel_mask(self.prime_product)
-        return [s.mask & socle == socle for s in self.all]
+        return sub.mask & socle == socle
 
-    def _small_flags(self) -> list[bool]:
+    def is_small(self, sub: Submodule) -> bool:
         # every proper submodule lies in one of prime index, so S + T = M for
         # a proper T iff S escapes one of those, and they meet in qM: S is
         # small iff it lies in qM (for a simple M that is 0)
-        radical = self.module.scaled_mask(self.prime_product)
-        return [s.mask & radical == s.mask for s in self.all]
-
-    def _flags(self, family: str) -> list[bool]:
-        """One flag per member for `family` (second, prime, minimal, maximal,
-        large or small), computed by `_<family>_flags` on first use."""
-        got = self._flag_lists.get(family)
-        if got is None:
-            got = self._flag_lists[family] = getattr(self, f"_{family}_flags")()
-        return got
-
-    def _members(self, family: str) -> tuple[Submodule, ...]:
-        """The members flagged in `family`, in lattice order."""
-        got = self._member_tuples.get(family)
-        if got is None:
-            got = tuple(s for s, flag in zip(self.all, self._flags(family)) if flag)
-            self._member_tuples[family] = got
-        return got
-
-    def is_second(self, sub: Submodule) -> bool:
-        return self._flags("second")[self.index_of(sub)]
-
-    def is_prime(self, sub: Submodule) -> bool:
-        return self._flags("prime")[self.index_of(sub)]
-
-    def is_minimal(self, sub: Submodule) -> bool:
-        return self._flags("minimal")[self.index_of(sub)]
-
-    def is_maximal(self, sub: Submodule) -> bool:
-        return self._flags("maximal")[self.index_of(sub)]
-
-    def is_large(self, sub: Submodule) -> bool:
-        return self._flags("large")[self.index_of(sub)]
-
-    def is_small(self, sub: Submodule) -> bool:
-        return self._flags("small")[self.index_of(sub)]
+        self.index_of(sub)
+        return sub.mask & self.module.scaled_mask(self.prime_product) == sub.mask
 
     def flags(self, sub: Submodule) -> SubmoduleFlags:
-        i = self.index_of(sub)
         return SubmoduleFlags(
-            is_prime=self._flags("prime")[i],
-            is_second=self._flags("second")[i],
-            is_minimal=self._flags("minimal")[i],
-            is_maximal=self._flags("maximal")[i],
-            is_large=self._flags("large")[i],
-            is_small=self._flags("small")[i],
+            is_prime=self.is_prime(sub),
+            is_second=self.is_second(sub),
+            is_minimal=self.is_minimal(sub),
+            is_maximal=self.is_maximal(sub),
+            is_large=self.is_large(sub),
+            is_small=self.is_small(sub),
         )
 
+    def _members(self, family: str, test) -> tuple[Submodule, ...]:
+        # keyed by a string, as a bound-method key would make a reference cycle
+        got = self._member_tuples.get(family)
+        if got is None:
+            got = self._member_tuples[family] = tuple(filter(test, self.all))
+        return got
+
     def seconds(self) -> tuple[Submodule, ...]:
-        return self._members("second")
+        return self._members("second", self.is_second)
 
     def primes(self) -> tuple[Submodule, ...]:
-        return self._members("prime")
+        return self._members("prime", self.is_prime)
 
     def minimals(self) -> tuple[Submodule, ...]:
-        return self._members("minimal")
+        return self._members("minimal", self.is_minimal)
 
     def maximals(self) -> tuple[Submodule, ...]:
-        return self._members("maximal")
+        return self._members("maximal", self.is_maximal)
 
     # -- module-level properties ---------------------------------------
 

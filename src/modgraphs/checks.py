@@ -114,8 +114,8 @@ SSI_SIDE = Side(
     low="minimal", high="maximal", flag="second", core="second_socle",
     meet_name="intersection", ideals="annihilators",
     spanning="minimal_pair_spanning", endpoint="smaller",
-    lows=lambda inst: inst.minimals, highs=lambda inst: inst.maximals,
-    flagged=lambda inst: inst.seconds, core_of=lambda inst: inst.sec_socle,
+    lows=lambda inst: inst.lattice.minimals(), highs=lambda inst: inst.lattice.maximals(),
+    flagged=lambda inst: inst.lattice.seconds(), core_of=lambda inst: inst.sec_socle,
     divisor=lambda lat, sub: lat.annihilator_divisor(sub),
     meet=lambda lat, a, b: lat.meet(a, b), join=lambda lat, a, b: lat.join(a, b),
     below=lambda a, b: a < b,
@@ -131,8 +131,8 @@ PSS_SIDE = Side(
     low="maximal", high="minimal", flag="prime", core="prime_radical",
     meet_name="sum", ideals="colon_ideals",
     spanning="maximal_pair_meeting_in_zero", endpoint="larger",
-    lows=lambda inst: inst.maximals, highs=lambda inst: inst.minimals,
-    flagged=lambda inst: inst.primes, core_of=lambda inst: inst.radical,
+    lows=lambda inst: inst.lattice.maximals(), highs=lambda inst: inst.lattice.minimals(),
+    flagged=lambda inst: inst.lattice.primes(), core_of=lambda inst: inst.radical,
     divisor=lambda lat, sub: lat.colon_divisor(sub),
     meet=lambda lat, a, b: lat.join(a, b), join=lambda lat, a, b: lat.meet(a, b),
     below=lambda a, b: b < a,
@@ -346,11 +346,11 @@ def _claim_8(side, inst):
 # ---------------------------------------------------------------- C9/D9
 
 def _c9_applies(inst):
-    return inst.metrics(GraphKind.SSI).is_connected and len(inst.maximals) >= 2
+    return inst.metrics(GraphKind.SSI).is_connected and len(inst.lattice.maximals()) >= 2
 
 
 def _c9_claim(inst):
-    for a, b in combinations(inst.maximals, 2):
+    for a, b in combinations(inst.lattice.maximals(), 2):
         if _meet_is_zero(a, b):
             return False, {"pair": [a.label(), b.label()]}
     return True, None
@@ -361,7 +361,7 @@ def _d9_applies(inst):
 
 
 def _d9_claim(inst):
-    spans = [_sum_is_full(a, b) for a, b in combinations(inst.minimals, 2)]
+    spans = [_sum_is_full(a, b) for a, b in combinations(inst.lattice.minimals(), 2)]
     literal = all(spans)
     witness = {"minimal_pairs": len(spans),
                "every_pair_spans": literal,

@@ -25,7 +25,9 @@ from .algebra import (
     DescriptorError,
     FiniteModule,
     Ring,
+    SizeGuardError,
     Submodule,
+    _NUMBER,
     _is_prime,
     guard_module_order,
     module_lattice,
@@ -33,7 +35,7 @@ from .algebra import (
     prime_radical,
     second_socle,
 )
-from .checks import CHECKS, CHECKS_BY_ID, REPORT, STRICT, CheckResult, evaluate_check
+from .checks import CHECKS, CHECKS_BY_ID, STRICT, CheckResult, evaluate_check
 from .graphs import (IDEAL_KINDS, TILDE_KINDS, GraphKind, _coerce_kind, build_graph,
                      graph_metrics, universal_vertices)
 
@@ -70,22 +72,6 @@ class Instance:
     @property
     def ring_lattice(self):
         return self.ring.lattice(max_order=self.max_order, max_lattice=self.max_lattice)
-
-    @property
-    def minimals(self):
-        return self.lattice.minimals()
-
-    @property
-    def maximals(self):
-        return self.lattice.maximals()
-
-    @property
-    def seconds(self):
-        return self.lattice.seconds()
-
-    @property
-    def primes(self):
-        return self.lattice.primes()
 
     @property
     def sec_socle(self) -> Submodule:
@@ -137,13 +123,13 @@ class Instance:
         return f"Instance({self.descriptor})"
 
 
-_CYCLIC_RE = re.compile(r"^cyclic:([0-9]+)\.\.([0-9]+)$")
-_PRODUCT_RE = re.compile(r"^product:ab<=([0-9]+)$")
-_VECTOR_RE = re.compile(r"^vector:([0-9]+)\^([0-9]+)$")
+_CYCLIC_RE = re.compile(rf"^cyclic:{_NUMBER}\.\.{_NUMBER}$")
+_PRODUCT_RE = re.compile(f"^product:ab<={_NUMBER}$")
+_VECTOR_RE = re.compile(rf"^vector:{_NUMBER}\^{_NUMBER}$")
 _ZMOD_RE = re.compile(r"^zmod:([A-Za-z0-9x]+)(?:/([A-Za-z0-9]+))?$")
 
 
-def _expand_item(item: str):
+def _expand_item(item: str, max_order: int):
     """The (ring modulus, invariant factors) of each module of one item."""
     m = _CYCLIC_RE.match(item)
     if m:
@@ -165,10 +151,13 @@ def _expand_item(item: str):
     m = _VECTOR_RE.match(item)
     if m:
         p, k = int(m.group(1)), int(m.group(2))
-        if not _is_prime(p):
-            raise DescriptorError(f"vector family needs a prime base, got {p}")
         if k < 1:
             raise DescriptorError(f"vector family needs a positive power in {item!r}")
+        # p^k >= max(p, 2^k): refused before the primality test and the k-tuple
+        if p > 1 and (p > max_order or k > max_order.bit_length()):
+            raise SizeGuardError(f"module order {p}^{k} exceeds the guard {max_order}")
+        if not _is_prime(p):
+            raise DescriptorError(f"vector family needs a prime base, got {p}")
         yield p, (p,) * k
         return
     m = _ZMOD_RE.match(item)
@@ -194,7 +183,7 @@ def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
     seen: set[str] = set()
     rings: dict[int, Ring] = {}
     for item in items:
-        for modulus, factors in _expand_item(item):
+        for modulus, factors in _expand_item(item, max_order):
             module = FiniteModule(rings.setdefault(modulus, Ring(modulus)), factors)
             guard_module_order(module, max_order)
             inst = Instance(module, max_order=max_order, max_lattice=max_lattice)

@@ -403,7 +403,7 @@ def brute_connectivity_claim(inst, ssi):
     maximals meet in 0), and then the diameter is at most 2."""
     lat = inst.lattice
     m = inst.metrics("ssi" if ssi else "pss")
-    lows = inst.minimals if ssi else inst.maximals
+    lows = inst.lattice.minimals() if ssi else inst.lattice.maximals()
     key = "minimal_pair_spanning" if ssi else "maximal_pair_meeting_in_zero"
     spanning = next(([a.label(), b.label()] for a, b in combinations(lows, 2)
                      if (lat.join(a, b).is_full if ssi else lat.meet(a, b).is_zero)),
@@ -417,7 +417,7 @@ def brute_connectivity_claim(inst, ssi):
 def brute_c9_claim(inst):
     """No two maximals meet in 0."""
     lat = inst.lattice
-    for a, b in combinations(inst.maximals, 2):
+    for a, b in combinations(inst.lattice.maximals(), 2):
         if lat.meet(a, b).is_zero:
             return False, {"pair": [a.label(), b.label()]}
     return True, None
@@ -426,7 +426,7 @@ def brute_c9_claim(inst):
 def brute_d9_claim(inst):
     """Every two minimals join to M, with the counts of both readings."""
     lat = inst.lattice
-    spans = [lat.join(a, b).is_full for a, b in combinations(inst.minimals, 2)]
+    spans = [lat.join(a, b).is_full for a, b in combinations(inst.lattice.minimals(), 2)]
     return all(spans), {"minimal_pairs": len(spans), "every_pair_spans": all(spans),
                         "no_pair_spans": not any(spans)}
 

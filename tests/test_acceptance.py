@@ -111,7 +111,7 @@ def test_criterion_04_prime_power_stars():
             g = inst.graph(GraphKind.SSI)
             m = inst.metrics(GraphKind.SSI)
             assert m.edge_count == m.vertex_count - 1, (p, k)
-            minimals = inst.minimals
+            minimals = inst.lattice.minimals()
             assert len(minimals) == 1
             center = g.vertex_for(minimals[0]).index
             assert center in m.universal_vertices, (p, k)

@@ -1,6 +1,8 @@
 """Lattice enumeration, classification flags, and module properties."""
+import gc
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -42,8 +44,8 @@ class TestFrozenZ12:
         assert sorted(s.label() for s in lat.all) == ["0", "2M", "3M", "4M", "6M", "M"]
 
     def test_seconds_and_primes(self, z12):
-        assert sorted(s.label() for s in z12.seconds) == ["4M", "6M"]
-        assert sorted(p.label() for p in z12.primes) == ["2M", "3M"]
+        assert sorted(s.label() for s in z12.lattice.seconds()) == ["4M", "6M"]
+        assert sorted(p.label() for p in z12.lattice.primes()) == ["2M", "3M"]
 
     def test_socle_and_radical(self, z12):
         assert z12.sec_socle.label() == "2M"
@@ -66,8 +68,8 @@ class TestFrozenZ12:
         assert not p.hollow and not p.uniform
 
     def test_minimal_maximal_split(self, z12):
-        assert sorted(s.label() for s in z12.minimals) == ["4M", "6M"]
-        assert sorted(s.label() for s in z12.maximals) == ["2M", "3M"]
+        assert sorted(s.label() for s in z12.lattice.minimals()) == ["4M", "6M"]
+        assert sorted(s.label() for s in z12.lattice.maximals()) == ["2M", "3M"]
 
 
 def test_z6_three_is_simultaneously_everything(z6):
@@ -95,7 +97,7 @@ def test_z2z4_counterexample_shape(z2z4):
     # which is second without being minimal
     lat = z2z4.lattice
     assert len(lat) == 8
-    mins = z2z4.minimals
+    mins = z2z4.lattice.minimals()
     assert len(mins) == 3
     v = lat.join(mins[0], lat.join(mins[1], mins[2]))
     assert v.order == 4 and lat.is_second(v) and not lat.is_minimal(v)
@@ -247,6 +249,38 @@ def test_order_flags_join_and_meet_match_bruteforce(module_text, ring_text):
             assert lat.meet(a, b).elements == a.elements & b.elements, (a, b)
 
 
+def assert_members_are_the_flags(lat):
+    for family in ("second", "prime", "minimal", "maximal"):
+        listed = getattr(lat, f"{family}s")()
+        assert listed == tuple(filter(getattr(lat, f"is_{family}"), lat.all)), family
+        assert getattr(lat, f"{family}s")() is listed, family
+    for s in lat.all:
+        for name, value in lat.flags(s)._asdict().items():
+            assert value == getattr(lat, name)(s), (s, name)
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_member_tuples_and_flags_are_the_predicates(module_text, ring_text):
+    assert_members_are_the_flags(make_instance(module_text, ring_text).lattice)
+
+
+def test_dropped_instance_frees_its_lattice_without_the_cycle_collector():
+    # nothing the lattice keeps may point back at it (a cache keyed by a bound
+    # method would), or each dropped instance waits for the cycle collector
+    gc.disable()
+    try:
+        inst = make_instance("Z2xZ4xZ8")
+        lat = inst.lattice
+        assert_members_are_the_flags(lat)
+        inst.props, inst.sec_socle, inst.radical
+        inst.metrics(GraphKind.SSI), inst.metrics(GraphKind.PSS)
+        freed = weakref.ref(lat)
+        del inst, lat
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
 def test_generator_colon_and_annihilator_match_full_scan(module_text, ring_text):
     inst = make_instance(module_text, ring_text)
@@ -330,9 +364,9 @@ def test_closed_form_claims_match_lattice_oracles(module_text, ring_text):
 def test_minimal_implies_second_and_maximal_implies_prime(module_text, ring_text):
     inst = make_instance(module_text, ring_text)
     lat = inst.lattice
-    for s in inst.minimals:
+    for s in inst.lattice.minimals():
         assert lat.is_second(s)
-    for s in inst.maximals:
+    for s in inst.lattice.maximals():
         assert lat.is_prime(s)
 
 
@@ -341,8 +375,8 @@ def test_second_socle_is_sum_of_minimals(module_text, ring_text):
     inst = make_instance(module_text, ring_text)
     lat = inst.lattice
     # a simple M is second and has no minimal submodule
-    total = lat.zero if inst.minimals else lat.top
-    for s in inst.minimals:
+    total = lat.zero if inst.lattice.minimals() else lat.top
+    for s in inst.lattice.minimals():
         total = lat.join(total, s)
     assert second_socle(lat.top, lat) == total
 
@@ -586,6 +620,12 @@ def test_generated_modules_match_oracles(module):
 
 @given(generated_modules())
 @settings(derandomize=True, deadline=None)
+def test_generated_member_tuples_and_flags_are_the_predicates(module):
+    assert_members_are_the_flags(enumerate_submodules(module))
+
+
+@given(generated_modules())
+@settings(derandomize=True, deadline=None)
 def test_generated_modules_closed_form_claims_match_oracles(module):
     inst = Instance(module)
     assert closed_form_claims(inst) == helpers.brute_claims(inst)
@@ -597,7 +637,7 @@ def test_generated_modules_closed_form_claims_match_oracles(module):
 def test_annihilator_of_second_is_prime_ideal(params, seed):
     _, text = params
     inst = make_instance(text)
-    seconds = inst.seconds
+    seconds = inst.lattice.seconds()
     if not seconds:
         return
     s = seconds[seed % len(seconds)]

@@ -177,8 +177,8 @@ def test_domination_checks_agree_with_metrics(z12, z2z4):
     # C15/D15 assert the extremal families dominate; spot-check that the
     # claimed bound is consistent with the computed domination number
     for inst in (z12, z2z4):
-        for cid, kind, extremals in (("C15", GraphKind.SSI, inst.minimals),
-                                     ("D15", GraphKind.PSS, inst.maximals)):
+        for cid, kind, extremals in (("C15", GraphKind.SSI, inst.lattice.minimals()),
+                                     ("D15", GraphKind.PSS, inst.lattice.maximals())):
             r = run(cid, inst)
             if r.verdict == "not_applicable":
                 continue

@@ -1,4 +1,5 @@
 """Command-line interface: exit codes, output formats, determinism."""
+import ast
 import hashlib
 import json
 import os
@@ -99,6 +100,46 @@ def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
     assert (code, out) == (3, "")
     assert err == "error: module order 4097 exceeds the guard 4096\n"
     assert len(built) == 8  # Z4090..Z4097, each built once
+
+
+HUGE = "1" * 4400  # past the 4,300 digits Python converts between str and int
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--module", f"Z{HUGE}"),
+    ("graph", "--module", "Z2", "--ring", f"Z{HUGE}", "--kind", "ssi"),
+    ("check", "--family", f"cyclic:2..{HUGE}"),
+    ("check", "--family", f"zmod:Z{HUGE}"),
+    ("check", "--family", f"product:ab<={HUGE}"),
+    ("check", "--family", "vector:2^20000"),
+    ("classify", "--module", "x".join(["Z2"] * 15000)),
+], ids=["classify", "graph-ring", "cyclic", "zmod", "product", "vector", "15000-factors"])
+def test_huge_numbers_are_refused_without_a_traceback(argv, capsys):
+    # a number too long to parse is a descriptor error; an order too long to
+    # print is named by its bit length
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code in (2, 3) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("item,message", [
+    ("vector:2^10000000", "module order 2^10000000 exceeds the guard 4096"),
+    (f"vector:{'9' * 600}^1", f"module order {'9' * 600}^1 exceeds the guard 4096"),
+])
+def test_vector_family_is_refused_before_it_is_built(item, message, monkeypatch, capsys):
+    # the k-tuple of factors grows with k and trial division with sqrt(p), so
+    # the refusal comes before the module and the primality test (k is kept
+    # at 10^7, an 80 MB tuple, should the guard ever come too late)
+    from modgraphs import harness
+
+    def unreachable(*args):
+        raise AssertionError("reached past the guard")
+
+    monkeypatch.setattr(harness, "FiniteModule", unreachable)
+    monkeypatch.setattr(harness, "_is_prime", unreachable)
+    code, out, err = run_cli("check", "--family", item, capsys=capsys)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 def test_domination_search_is_bounded(monkeypatch, capsys):
@@ -448,3 +489,30 @@ def test_console_script_on_path():
     proc = subprocess.run(["modgraphs", "enumerate", "--module", "Z6"],
                           capture_output=True, text=True, timeout=60)
     assert_enumerates_z6(proc)
+
+
+# ---------------------------------------------------------------- README
+
+README = PYPROJECT.parent / "README.md"
+
+
+def test_readme_library_example_gives_its_results():
+    # each expression with a result comment, after it on its line (up to a
+    # dash) or on the next line, must evaluate to that result
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, last, checked = {}, None, 0
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        code = code.strip()
+        if code:
+            try:
+                last = eval(compile(code, "README.md", "eval"), namespace)
+            except SyntaxError:
+                exec(compile(code, "README.md", "exec"), namespace)
+                last = None
+        if comment.strip():
+            expected = comment.split("—")[0].strip()
+            assert last == ast.literal_eval(expected), (line, last)
+            checked += 1
+    assert checked == 3
