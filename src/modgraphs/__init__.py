@@ -5,6 +5,9 @@ classifies each one (second, prime, minimal, maximal, large, small),
 builds six graphs over the lattice, computes their invariants, and runs
 a registry of machine checks relating lattice structure to graph shape
 across whole families of modules.
+
+The check registry (`modgraphs.checks`) is imported on first use of one
+of its names, so commands that run no check never compile it.
 """
 
 from .algebra import (
@@ -25,7 +28,6 @@ from .algebra import (
     second_socle,
     span,
 )
-from .checks import CHECKS, CHECKS_BY_ID, Check, CheckResult, evaluate_check
 from .cli import dispatch, main
 from .graphs import (
     GraphKind,
@@ -46,6 +48,17 @@ from .harness import (
 )
 
 __version__ = "1.0.0"
+
+_CHECK_NAMES = frozenset({"CHECKS", "CHECKS_BY_ID", "Check", "CheckResult", "evaluate_check"})
+
+
+def __getattr__(name):
+    if name not in _CHECK_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checks
+    value = globals()[name] = getattr(checks, name)
+    return value
+
 
 __all__ = [
     "CHECKS",

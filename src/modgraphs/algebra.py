@@ -534,22 +534,18 @@ def enumerate_submodules(module: FiniteModule, *,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
     """Every submodule of M, as the product of the lattices of its Sylow parts.
 
-    A cyclic Z_d has one submodule cZ_d, of exponent d/c, per divisor c.
-    Otherwise M is the direct sum of its p-parts M[p^a], p^a the p-part of
-    exp(M), and each L(M[p^a]) is walked as the interval [p^a M, M], one
-    cover step per Hasse edge from p^a M, the sum of the other parts.  A
-    member of L(M) is the intersection of one member of each interval, and
-    its exponent the product of theirs.
+    M is the direct sum of its p-parts M[p^a], p^a the p-part of exp(M),
+    and each L(M[p^a]) is read as the interval [p^a M, M] over p^a M, the
+    sum of the other parts: the chain of the p^j M when M[p^a] is cyclic,
+    else walked one cover step per Hasse edge.  A member of L(M) is the
+    intersection of one member of each interval, and its exponent the
+    product of theirs; so a cyclic Z_d gets each cZ_d, of exponent d/c.
     """
     guard_module_order(module, max_order)
     # past the guard, as listing the divisors of a huge exponent is slow;
     # the lattice keeps their product q
     primes = [q for q in divisors(module.exponent) if _is_prime(q)]
-    if len(module.invariant_factors) == 1:
-        d = module.order
-        parts = [{_coordinate_mask(module, (c,)): d // c for c in divisors(d)}]
-    else:
-        parts = [_sylow_interval(module, p, max_lattice) for p in primes]
+    parts = [_sylow_interval(module, p, max_lattice) for p in primes]
     if prod(map(len, parts)) > max_lattice:
         raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
     subs = {(1 << module.order) - 1: 1}
@@ -565,6 +561,15 @@ def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int,
     # p-parts.  Each cyclic p-subgroup <x> is spanned once, as the cover of
     # index p of <px>, and recorded under each of its generators.
     pa = gcd(module.exponent, p ** module.exponent.bit_length())  # p^a, the p-part of exp(M)
+    factors = module.invariant_factors
+    if sum(d % p == 0 for d in factors) == 1:
+        # a cyclic p-part Z_{p^a} has one submodule p^j Z_{p^a} per j <= a,
+        # so the interval is the chain of the p^j M, of p-exponents p^(a-j)
+        chain, pj = {}, 1
+        while pa % pj == 0:
+            chain[_coordinate_mask(module, [gcd(pj, d) for d in factors])] = pa // pj
+            pj *= p
+        return chain
     els = module.elements()
     span_of = {0: 1}  # position of each generator spanned so far -> its span
     cyclic: list[tuple[Element, int, int, int]] = []  # generator, its bit, span, order

@@ -160,10 +160,10 @@ def test_vector_space_lattice_sizes_match_gaussian_binomials(p, k, size):
 
 @pytest.mark.parametrize("module_text,ring_text", [("Z2xZ2xZ2xZ2xZ2", "Z2"),
                                                    ("Z4xZ4xZ4", None), ("Z720", None),
-                                                   ("Z12xZ36", None)])
+                                                   ("Z12xZ36", None), ("Z4xZ12", None)])
 def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
-    # A cyclic module's submodules are coordinate masks, with no step at
-    # all.  Otherwise, for each prime p, enumeration spans each nonzero
+    # A cyclic p-part's submodules are coordinate masks, with no step at
+    # all.  For each prime p of rank >= 2, enumeration spans each nonzero
     # cyclic p-subgroup <x> with one cover step from <px>, then climbs
     # L(M_p) with one cover step per cover pair a < b, |b|/|a| = p.  No
     # member is grown by doubling; generators are picked only when read.
@@ -178,8 +178,8 @@ def test_enumeration_grows_once_per_cover(monkeypatch, module_text, ring_text):
     assert calls == []
     factors = module.invariant_factors
     expected = Counter()
-    if len(factors) > 1:
-        for p in (q for q in helpers.divisors(module.order) if helpers.is_prime(q)):
+    for p in (q for q in helpers.divisors(module.order) if helpers.is_prime(q)):
+        if sum(d % p == 0 for d in factors) >= 2:
             subs = helpers.p_subgroups(factors, p)
             covers = sum(1 for a in subs for b in subs if a < b and len(b) == p * len(a))
             expected[p] = len(helpers.cyclic_p_subgroups(factors, p)) + covers

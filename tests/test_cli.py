@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -463,6 +464,47 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     loaded = set(proc.stdout.split())
     assert "modgraphs.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis"}), sorted(loaded)
+
+
+def test_only_check_loads_the_check_registry():
+    # graph, classify and enumerate never compile checks.py; check loads it
+    # inside dispatch, not at import
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import modgraphs.cli
+        seen = ["modgraphs.checks" in sys.modules]
+        for argv in (["graph", "--module", "Z12", "--kind", "ssi"],
+                     ["classify", "--module", "Z12"],
+                     ["enumerate", "--module", "Z12"],
+                     ["check", "--family", "cyclic:2..3"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = modgraphs.cli.dispatch(argv)
+            seen.append([argv[0], rc, "modgraphs.checks" in sys.modules])
+        print(json.dumps(seen))
+    """)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [False, ["graph", 0, False], ["classify", 0, False],
+                                       ["enumerate", 0, False], ["check", 0, True]]
+
+
+def test_package_names_resolve_and_star_import_works():
+    import modgraphs.checks
+    for name in modgraphs.__all__:
+        assert getattr(modgraphs, name) is not None, name
+    assert modgraphs.CHECKS is modgraphs.checks.CHECKS
+    assert modgraphs.evaluate_check is modgraphs.checks.evaluate_check
+    with pytest.raises(AttributeError) as info:
+        modgraphs.no_such_name
+    assert str(info.value) == "module 'modgraphs' has no attribute 'no_such_name'"
+    probe = ("import modgraphs; from modgraphs import *; import modgraphs.checks as c; "
+             "missing = [n for n in modgraphs.__all__ if n not in globals()]; "
+             "print(missing, CHECKS is c.CHECKS, Check is c.Check)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] True True\n"
 
 
 def test_console_script_entrypoint():

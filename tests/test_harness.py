@@ -160,6 +160,18 @@ def test_suite_over_small_family():
     assert instances == sorted(instances, key=instances.index)  # grouped
 
 
+def test_suite_reads_evaluate_check_from_the_check_module(monkeypatch):
+    # a replacement of checks.evaluate_check, as a tracer installs, sees
+    # every evaluation of a suite run
+    from modgraphs import checks
+    calls = []
+    evaluate = checks.evaluate_check
+    monkeypatch.setattr(checks, "evaluate_check",
+                        lambda check, inst: calls.append(check.id) or evaluate(check, inst))
+    report = run_suite("cyclic:2..3", checks="C1,C6,D6")
+    assert calls == ["C1", "C6", "D6"] * 2 == [r.check_id for r in report.results]
+
+
 def test_summary_counts_are_exhaustive():
     report = run_suite("cyclic:2..20", checks="all")
     s = report.summary()
