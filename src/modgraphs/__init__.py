@@ -35,6 +35,7 @@ from .graphs import (
     GraphVertex,
     SimpleGraph,
     build_graph,
+    domination_number,
     export_graph,
     graph_metrics,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "build_graph",
     "dispatch",
     "divisors",
+    "domination_number",
     "enumerate_submodules",
     "evaluate_check",
     "export_graph",

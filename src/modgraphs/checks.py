@@ -22,6 +22,7 @@ from itertools import combinations
 from math import gcd, inf
 from typing import Callable, NamedTuple, Optional
 
+from .algebra import _is_prime
 from .graphs import GraphKind
 
 STRICT = "strict"
@@ -301,22 +302,21 @@ def _applies_7(side, inst):
 def _claim_7(side, inst):
     # The ideal of a member is cZ_n for its divisor c | n: the zero ideal is
     # c = n, and cZ_n + dZ_n = gcd(c, d)Z_n, so the pair premise is a test
-    # on divisors.  Each divisor's PIS vertex is looked up once.
+    # on divisors, and the two ideals are adjacent in PIS(Z_n) iff their
+    # sum's divisor gcd(c, d) is a prime.
     lat, n = inst.lattice, inst.ring.modulus
     g = inst.graph(side.graph)
-    pis = inst.graph(GraphKind.PIS)
     vs = lat.proper_nonzero()
     cs = [side.divisor(lat, s) for s in vs]
-    at = {c: pis.vertex_for(inst.ring_lattice.ideal(c)).index
-          for c in set(cs) if c != n}
     for i, j in combinations(range(len(vs)), 2):
         c, d = cs[i], cs[j]
         if c == n or d == n or c == d:
             continue
-        if side.divisor(lat, side.meet(lat, vs[i], vs[j])) != gcd(c, d):
+        e = gcd(c, d)
+        if side.divisor(lat, side.meet(lat, vs[i], vs[j])) != e:
             continue
         lhs = g.adjacent(i, j)
-        rhs = pis.adjacent(at[c], at[d])
+        rhs = _is_prime(e)
         if lhs != rhs:
             rlat = inst.ring_lattice
             return False, {
@@ -423,10 +423,11 @@ def _claim_12(side, inst):
 
 # -------------------------------------------------------------- C13/D13
 
-def _complete(m):
-    if m.is_complete:
+def _complete(g):
+    n, m = g.vertex_count, g.edge_count
+    if m == n * (n - 1) // 2:
         return True, None
-    return False, {"vertex_count": m.vertex_count, "edge_count": m.edge_count}
+    return False, {"vertex_count": n, "edge_count": m}
 
 
 def _applies_13(side, inst):
@@ -438,7 +439,7 @@ def _applies_13(side, inst):
 
 
 def _claim_13(side, inst):
-    return _complete(side.metrics(inst))
+    return _complete(inst.graph(side.graph))
 
 
 # -------------------------------------------------------------- C14/D14
@@ -448,7 +449,7 @@ def _applies_14(side, inst):
 
 
 def _claim_14(side, inst):
-    return _complete(inst.metrics(side.tilde))
+    return _complete(inst.graph(side.tilde))
 
 
 # -------------------------------------------------------------- C15/D15
@@ -461,25 +462,23 @@ def _dominates(g, picked) -> bool:
 
 
 def _claim_15(side, inst):
+    # Past the first two tests the lows are an irredundant dominating set,
+    # so the domination number is at most their count; with at most two of
+    # them it is 1 iff some vertex is universal, and their count otherwise.
     g = inst.graph(side.graph)
-    m = side.metrics(inst)
     lows = side.lows(inst)
-    count = f"{side.low}_count"
     picked = {g.vertex_for(s).index for s in lows}
     if not _dominates(g, picked):
         return False, {f"{side.low}s": _labels(lows), "reason": "do not dominate"}
     for drop in sorted(picked):
         if _dominates(g, picked - {drop}):
             return False, {"redundant_member": g.vertices[drop].label}
-    if m.domination_number > len(lows):
-        return False, {"domination_number": m.domination_number, count: len(lows)}
     if len(lows) <= 2:
         cond = _few_lows_condition(side, inst)
-        if (m.domination_number == 1) != (cond is not None):
-            return False, {"domination_number": m.domination_number,
+        universal = bool(side.metrics(inst).universal_vertices)
+        if universal != (cond is not None):
+            return False, {"domination_number": 1 if universal else len(lows),
                            "condition": cond}
-        if len(lows) == 2 and cond is None and m.domination_number != 2:
-            return False, {"domination_number": m.domination_number, count: 2}
     return True, None
 
 

@@ -22,16 +22,11 @@ the bits of the picked ideals only.  A graph is held as these rows.
 
 Conventions for the invariants live in `graph_metrics`: graphs on at
 most one vertex count as connected and complete with diameter 0, a
-disconnected graph has infinite diameter, an acyclic graph has infinite
-girth, and an empty vertex set has domination number 0.
-
-The domination number is found by iterative deepening, branching on the
-uncovered vertex with the fewest coverers (tried by falling gain); the
-last pick is one AND of the rest's closed rows, sparsest first, and
-`DOMINATION_NODES` bounds the search.  The diameter-2 test first clears
-the rows of v's `HUBS` highest-degree neighbours from its non-neighbours.
-SSI(M) and PSS(M) are isomorphic (N -> N^perp), so `Instance.metrics`
-computes one record per pair.
+disconnected graph has infinite diameter, and an acyclic graph has
+infinite girth.  The diameter-2 test first clears the rows of v's `HUBS`
+highest-degree neighbours from its non-neighbours.  SSI(M) and PSS(M)
+are isomorphic (N -> N^perp), so `Instance.metrics` computes one record
+per pair.  No check needs the domination number, a separate search.
 """
 from __future__ import annotations
 
@@ -226,7 +221,7 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
 
 
 HUBS = 16  # highest-degree vertices whose rows `_within_two` clears first
-DOMINATION_NODES = 1_000_000  # nodes `_domination` visits on one graph before it refuses
+DOMINATION_NODES = 1_000_000  # nodes `domination_number` visits on one graph before it refuses
 
 
 class GraphMetrics(NamedTuple):
@@ -236,7 +231,6 @@ class GraphMetrics(NamedTuple):
     is_connected: bool
     diameter: float
     girth: float
-    domination_number: int
     universal_vertices: tuple[int, ...]
 
 
@@ -301,7 +295,12 @@ def _girth(g: SimpleGraph) -> float:
     return best
 
 
-def _domination(g: SimpleGraph) -> int:
+def domination_number(g: SimpleGraph) -> int:
+    """The fewest vertices whose closed rows cover the graph (0 with no
+    vertex), by iterative deepening: branch on the uncovered vertex with
+    the fewest coverers, tried by falling gain; the last pick is one AND
+    of the rest's closed rows, sparsest first.  SizeGuardError past
+    `DOMINATION_NODES` visited nodes."""
     n = g.vertex_count
     if n == 0:
         return 0
@@ -382,7 +381,6 @@ def graph_metrics(g: SimpleGraph) -> GraphMetrics:
         is_connected=connected,
         diameter=diameter,
         girth=_girth(g),
-        domination_number=_domination(g),
         universal_vertices=universal_vertices(g),
     )
 

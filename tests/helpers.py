@@ -8,15 +8,18 @@ radical and module properties come from raw definitional loops over all
 elements and all submodules, joins from closing the union under
 addition; graph edges come from one meet or join per vertex pair, graph
 invariants from Floyd-Warshall and subset search, the C7/D7, C8/D8 and
-C9/D9 claims from lattice joins, meets and ideals, JSON text from
-json.dumps.
+C9/D9 claims from lattice joins, meets and ideals, the C15/D15 claims from
+the searched domination number, JSON text from json.dumps.
 The oracles deliberately avoid the package's enumeration and metric code
-paths.
+paths; only the C15/D15 oracle calls `domination_number`, the exact
+search the package's claim does without.
 """
 import json
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
 from math import gcd, inf, lcm
+
+from modgraphs import domination_number
 
 
 def divisors(n):
@@ -431,9 +434,62 @@ def brute_d9_claim(inst):
                         "no_pair_spans": not any(spans)}
 
 
+def brute_few_lows_condition(inst, ssi):
+    """The universal-vertex shape of C1/C15 (ssi) or D1/D15: a unique
+    minimal (maximal), or two whose join (meet) V is maximal (minimal)
+    with every member strictly between 0 and V (V and M) second (prime)."""
+    lat = inst.lattice
+    low, flag = ("minimal", "second") if ssi else ("maximal", "prime")
+    lows = lat.minimals() if ssi else lat.maximals()
+    if len(lows) == 1:
+        return f"unique-{low}"
+    if len(lows) == 2:
+        a, b = (s.elements for s in lows)
+        v = brute_join(*lows) if ssi else a & b
+        between = [x for x in lat.all
+                   if (x.order > 1 and x.elements < v if ssi
+                       else x.order < x.module.order and v < x.elements)]
+        flagged = brute_second if ssi else brute_prime
+        highs = lat.maximals() if ssi else lat.minimals()
+        if any(h.elements == v for h in highs) and all(map(flagged, between)):
+            return f"two-{low}s-{flag}-interval"
+    return None
+
+
+def brute_claim_15(inst, ssi):
+    """C15 (ssi) or D15: the minimals (maximals) dominate irredundantly and
+    bound the domination number; with at most two of them it is 1 exactly
+    under the universal-vertex shape, and 2 otherwise when there are two.
+    Each of the last three tests reads the searched domination number."""
+    g = inst.graph("ssi" if ssi else "pss")
+    low = "minimal" if ssi else "maximal"
+    lows = inst.lattice.minimals() if ssi else inst.lattice.maximals()
+    picked = {g.vertex_for(s).index for s in lows}
+
+    def dominates(vs):
+        return set(vs).union(*(neighbors(g, v) for v in vs)) == set(range(g.vertex_count))
+
+    if not dominates(picked):
+        return False, {f"{low}s": [s.label() for s in lows], "reason": "do not dominate"}
+    for drop in sorted(picked):
+        if dominates(picked - {drop}):
+            return False, {"redundant_member": g.vertices[drop].label}
+    gamma = domination_number(g)
+    if gamma > len(lows):
+        return False, {"domination_number": gamma, f"{low}_count": len(lows)}
+    if len(lows) <= 2:
+        cond = brute_few_lows_condition(inst, ssi)
+        if (gamma == 1) != (cond is not None):
+            return False, {"domination_number": gamma, "condition": cond}
+        if len(lows) == 2 and cond is None and gamma != 2:
+            return False, {"domination_number": gamma, f"{low}_count": 2}
+    return True, None
+
+
 def brute_claims(inst):
-    """(ok, witness) of C7, D7, C8, D8, C9 and D9, hypotheses not tested."""
-    return {
+    """(ok, witness) of C7, D7, C8, D8, C9 and D9, hypotheses not tested,
+    and of C15 and D15 where their graph has a vertex."""
+    claims = {
         "C7": brute_transfer_claim(inst, True),
         "D7": brute_transfer_claim(inst, False),
         "C8": brute_connectivity_claim(inst, True),
@@ -441,6 +497,10 @@ def brute_claims(inst):
         "C9": brute_c9_claim(inst),
         "D9": brute_d9_claim(inst),
     }
+    for cid, ssi in (("C15", True), ("D15", False)):
+        if inst.graph("ssi" if ssi else "pss").vertex_count:
+            claims[cid] = brute_claim_15(inst, ssi)
+    return claims
 
 
 # ---- exhaustive graph invariants

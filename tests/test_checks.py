@@ -6,8 +6,9 @@ import pytest
 
 import helpers
 from conftest import make_instance
-from modgraphs import (CHECKS, CHECKS_BY_ID, GraphKind, Instance, SimpleGraph,
-                       evaluate_check, generate_family, graph_metrics)
+from modgraphs import (CHECKS, CHECKS_BY_ID, DEFAULT_FAMILY, GraphKind, Instance,
+                       SimpleGraph, domination_number, evaluate_check, generate_family,
+                       graph_metrics, graphs, run_suite)
 from modgraphs.checks import REPORT, STRICT, Check
 from modgraphs.harness import CheckReport
 
@@ -183,7 +184,39 @@ def test_domination_checks_agree_with_metrics(z12, z2z4):
             if r.verdict == "not_applicable":
                 continue
             assert r.verdict == "pass"
-            assert inst.metrics(kind).domination_number <= len(extremals)
+            assert domination_number(inst.graph(kind)) <= len(extremals)
+
+
+def test_claim_15_matches_its_oracle_on_the_default_family():
+    # the claim reads universal vertices where the oracle searches for the
+    # domination number
+    for inst in generate_family(DEFAULT_FAMILY):
+        for cid, ssi in (("C15", True), ("D15", False)):
+            check = CHECKS_BY_ID[cid]
+            if check.applies(inst):
+                assert check.claim(inst) == helpers.brute_claim_15(inst, ssi), (cid, inst)
+
+
+LADDER_FAMILY = ("zmod:Z16xZ16,zmod:Z4xZ4xZ4,zmod:Z5xZ5xZ5/Z5,zmod:Z2xZ4xZ8,"
+                 "zmod:Z2xZ2xZ2xZ2/Z2")
+
+
+@pytest.mark.parametrize("family", [DEFAULT_FAMILY, LADDER_FAMILY])
+def test_check_runs_no_domination_search_and_no_pis_graph(family, monkeypatch):
+    # C15/D15 read universal vertices and C7/D7 a gcd, so no check needs
+    # the domination number or the ideal-sum graph PIS(Z_n)
+    def refuse(g):
+        raise AssertionError("domination search ran")
+
+    witness_graph = graphs._witness_graph
+
+    def no_pis(kind, *args):
+        assert kind is not GraphKind.PIS, "PIS graph built"
+        return witness_graph(kind, *args)
+
+    monkeypatch.setattr(graphs, "domination_number", refuse)
+    monkeypatch.setattr(graphs, "_witness_graph", no_pis)
+    assert not run_suite(family, "all").failures()
 
 
 # ----------------------------------------- failure witnesses, pinned exactly
@@ -352,9 +385,38 @@ def test_doctored_report_json_is_json_dumps_of_as_dict(timing):
     assert helpers.json_dumps_mismatch(report.to_json(), report.as_dict()) is None
 
 
+def _rewired(labels, add):
+    """A doctor that adds (or removes) the SSI edges from the vertex
+    labelled labels[0] to those labelled labels[1:]."""
+    def doctor(base, kind):
+        if kind is not GraphKind.SSI:
+            return None
+        g = base.graph(kind)
+        at = {v.label: v.index for v in g.vertices}
+        hub, *others = (at[label] for label in labels)
+        touched = {tuple(sorted((hub, v))) for v in others}
+        return sorted(set(g.edges()) | touched if add else set(g.edges()) - touched)
+    return doctor
+
+
+@pytest.mark.parametrize("text,doctor,witness", [
+    # two minimals off the universal-vertex shape, and 2M made universal
+    ("Z36", _rewired(["2M", "3M", "4M", "6M", "9M", "12M", "18M"], True),
+     {"domination_number": 1, "condition": None}),
+    # the shape holds, and the universal 2M loses its edge to 4M
+    ("Z12", _rewired(["2M", "4M"], False),
+     {"domination_number": 2, "condition": "two-minimals-second-interval"}),
+])
+def test_c15_witness_reads_the_domination_number_off_universal_vertices(
+        text, doctor, witness):
+    inst = DoctoredInstance(make_instance(text), doctor)
+    claim = CHECKS_BY_ID["C15"].claim(inst)
+    assert claim == helpers.brute_claim_15(inst, True) == (False, witness)
+
+
 def test_doctored_graphs_reach_every_closed_form_witness():
-    # rewired graphs break C7, D7, C8 and D8; C9 and D9 read the lattice
-    # alone and fail without a hypothesis to hold them back
+    # rewired graphs break C7, D7, C8, D8, C15 and D15; C9 and D9 read the
+    # lattice alone and fail without a hypothesis to hold them back
     failed = set()
     for base in generate_family(DOCTORED_FAMILY):
         for _name, doctor in DOCTORINGS:
@@ -364,4 +426,4 @@ def test_doctored_graphs_reach_every_closed_form_witness():
                 assert CHECKS_BY_ID[cid].claim(inst) == (ok, witness), (cid, inst)
                 if not ok:
                     failed.add(cid)
-    assert failed == {"C7", "D7", "C8", "D8", "C9", "D9"}
+    assert failed == {"C7", "D7", "C8", "D8", "C9", "D9", "C15", "D15"}

@@ -143,13 +143,15 @@ def test_vector_family_is_refused_before_it_is_built(item, message, monkeypatch,
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
-def test_domination_search_is_bounded(monkeypatch, capsys):
-    # past its node budget the search refuses, naming the stage and graph
+def test_domination_search_is_bounded(monkeypatch):
+    # no command runs the search; past its node budget the library
+    # function refuses, naming the stage and graph
     monkeypatch.setattr(modgraphs.graphs, "DOMINATION_NODES", 5)
-    code, out, err = run_cli("check", "--family", "zmod:Z5xZ5xZ5/Z5", "--checks", "D15",
-                             capsys=capsys)
-    assert (code, out) == (3, "")
-    assert err == "error: domination search on pss of Z5xZ5xZ5 exceeded 5 nodes\n"
+    _, module = modgraphs.parse_descriptor("Z5xZ5xZ5", "Z5")
+    g = modgraphs.build_graph("pss", module)
+    with pytest.raises(modgraphs.SizeGuardError) as refused:
+        modgraphs.domination_number(g)
+    assert str(refused.value) == "domination search on pss of Z5xZ5xZ5 exceeded 5 nodes"
 
 
 def test_ideal_graph_on_module_is_an_error(capsys):
@@ -306,8 +308,9 @@ def test_check_all_is_byte_stable_on_a_374_member_lattice(capsys):
 
 # argv of a graph export, a check run or a classify -> byte count and
 # sha256 of stdout; the Z4xZ4xZ4 exports carry generator labels, Z2^6 over
-# Z2 is the 2,825-member lattice, and classify writes the module properties
-# through ModuleProperties._asdict
+# Z2 is the 2,825-member lattice, F_5^4 and F_7^4 (1,120 and 3,652 members)
+# are the largest vector spaces the guards accept, and classify writes the
+# module properties through ModuleProperties._asdict
 BYTE_PINS = {
     ("graph", "--module", "Z4xZ4xZ4", "--kind", "pss", "--format", "dot"):
         (74640, "5c00cae83131ae4c757e39e76dfd4b39159c93bb57643cde4bb8ce368b98ae50"),
@@ -317,6 +320,10 @@ BYTE_PINS = {
         (4052, "6f31385082e6ef69b8a99986cbcfac28228c69f6c2ebae6bf07954f9ce02b409"),
     ("check", "--family", "zmod:Z3xZ3xZ3xZ3xZ3/Z3", "--checks", "all"):
         (3959, "92f513afda16090fb7952caa4339fb8eeb341786ba878eaf7bcc90ff24a6ae29"),
+    ("check", "--family", "vector:5^4", "--checks", "all"):
+        (3858, "78cb651c7494b4c737125e9c8002c7092d487fb950f560321a280c6c2dbe1a5b"),
+    ("check", "--family", "vector:7^4", "--checks", "all"):
+        (3858, "79e09f7635e0a19c1186b83e7f007989b23fd774e0cdc736b9a47bf203ed019b"),
     ("check", "--family", "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3",
      "--checks", "all"):
         (488363, "e4e5d4c2c1dc61d4bf499644f6996921d3007c8b29efedeaa6014b36cc452e0e"),

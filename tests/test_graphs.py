@@ -17,6 +17,7 @@ from modgraphs import (
     SimpleGraph,
     algebra,
     build_graph,
+    domination_number,
     enumerate_submodules,
     export_graph,
     generate_family,
@@ -24,7 +25,6 @@ from modgraphs import (
     parse_descriptor,
     span,
 )
-from modgraphs.graphs import _domination
 
 INF = math.inf
 
@@ -55,7 +55,7 @@ class TestFrozenZ12:
         m = z12.metrics(GraphKind.SSI)
         assert m.is_connected and not m.is_complete
         assert m.diameter == 2 and m.girth == 3
-        assert m.domination_number == 1
+        assert domination_number(g) == 1
         assert m.universal_vertices == (0,)
         assert all(g.degree(v) for v in range(m.vertex_count))
         # a universal vertex, but one edge more than a star on 4 vertices
@@ -71,7 +71,7 @@ class TestFrozenZ12:
         assert m.is_connected and m.diameter == 2 and m.girth == 3
         # 6M sits at index 3 and meets everything
         assert m.universal_vertices == (3,)
-        assert m.domination_number == 1
+        assert domination_number(z12.graph(GraphKind.PSS)) == 1
 
     def test_tilde_matches_ideal_graph(self, z12):
         # over a cyclic module every proper nonzero colon ideal shows up,
@@ -93,7 +93,7 @@ def test_z6_ssi_is_two_isolated_vertices(z6):
     assert not m.is_connected
     assert m.diameter == INF and m.girth == INF
     assert g.degree(0) == g.degree(1) == 0 and m.universal_vertices == ()
-    assert m.domination_number == 2
+    assert domination_number(g) == 2
 
 
 def test_z16_ssi_is_a_star(z16):
@@ -241,18 +241,19 @@ def test_sii_equals_ssi_on_the_ring_as_module():
 
 def test_empty_graph_conventions():
     # Z4 over Z4: proper nonzero = {2M} -> single vertex; Zp -> no vertices
-    single = make_instance("Z4").metrics(GraphKind.SSI)
+    z4, z5 = make_instance("Z4"), make_instance("Z5")
+    single = z4.metrics(GraphKind.SSI)
     assert single.vertex_count == 1 and single.edge_count == 0
     assert single.is_connected and single.is_complete
     assert single.diameter == 0 and single.girth == INF
-    assert single.domination_number == 1
+    assert domination_number(z4.graph(GraphKind.SSI)) == 1
     assert single.universal_vertices == (0,)
 
-    empty = make_instance("Z5").metrics(GraphKind.SSI)
+    empty = z5.metrics(GraphKind.SSI)
     assert empty.vertex_count == 0 and empty.edge_count == 0
     assert empty.is_connected and empty.is_complete
     assert empty.diameter == 0 and empty.girth == INF
-    assert empty.domination_number == 0
+    assert domination_number(z5.graph(GraphKind.SSI)) == 0
     assert empty.universal_vertices == ()
 
 
@@ -295,7 +296,7 @@ def test_diameter_fallback_on_hand_built_graphs(name):
     g = graph_from_edges(n, edges)
     assert g.edges() == sorted(edges)
     assert graph_metrics(g).diameter == helpers.exhaustive_diameter(g)
-    assert _domination(g) == helpers.exhaustive_domination(g)
+    assert domination_number(g) == helpers.exhaustive_domination(g)
 
 
 @st.composite
@@ -311,7 +312,7 @@ def random_graphs(draw):
 @given(random_graphs())
 @settings(derandomize=True, deadline=None)
 def test_search_metrics_are_exact_on_random_graphs(g):
-    assert _domination(g) == helpers.exhaustive_domination(g)
+    assert domination_number(g) == helpers.exhaustive_domination(g)
     assert graph_metrics(g).diameter == helpers.exhaustive_diameter(g)
 
 
@@ -345,7 +346,7 @@ def test_metrics_against_exhaustive_oracles(text, kind):
     if n <= 10:
         assert m.diameter == helpers.exhaustive_diameter(g)
         assert m.girth == helpers.exhaustive_girth(g)
-    assert m.domination_number == helpers.exhaustive_domination(g)
+    assert domination_number(g) == helpers.exhaustive_domination(g)
 
 
 # The exhaustive search stays fast on these 65-127 vertex graphs since
@@ -359,7 +360,19 @@ def test_domination_at_lattice_scale(module_text, ring_text, gamma, kind):
     inst = make_instance(module_text, ring_text)
     g = inst.graph(kind)
     assert g.vertex_count > 60
-    assert inst.metrics(kind).domination_number == (gamma or helpers.exhaustive_domination(g))
+    assert domination_number(g) == (gamma or helpers.exhaustive_domination(g))
+
+
+# In F_q^k every nonzero subspace is second, so SSI joins two subspaces
+# that meet beyond 0.  Every line then lies in a member of a dominating
+# set of SSI, so the members' union is F_q^k, which takes q + 1 proper
+# subspaces (q + 1 hyperplanes through one codimension-2 subspace do).
+# PSS is SSI's dual.
+@pytest.mark.parametrize("q,k", [(2, 6), (3, 4), (7, 3)])
+def test_domination_number_of_a_vector_space_is_q_plus_one(q, k):
+    inst = make_instance("x".join([f"Z{q}"] * k), f"Z{q}")
+    for kind in (GraphKind.SSI, GraphKind.PSS):
+        assert domination_number(inst.graph(kind)) == q + 1, kind
 
 
 # N -> N^perp, into the character group of M (isomorphic to M), reverses
@@ -375,7 +388,7 @@ def test_ssi_and_pss_are_isomorphic_by_duality():
         g = inst.graph(kind)
         m = graph_metrics(g)
         return (sorted(g.degree(v) for v in range(g.vertex_count)), m.edge_count,
-                m.is_connected, m.diameter, m.girth, m.domination_number,
+                m.is_connected, m.diameter, m.girth, domination_number(g),
                 len(m.universal_vertices))
 
     family = generate_family(DUALITY_FAMILY)
