@@ -119,13 +119,16 @@ class Ring:
 
     def lattice(self, *, max_order: int = MAX_MODULE_ORDER,
                 max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
-        """The ideal lattice, cached after the first call; max_order bounds n."""
+        """The ideal lattice, cached after the first call; on every call
+        max_order bounds n and max_lattice the lattice's size."""
+        if self.modulus > max_order:
+            raise SizeGuardError(f"ring {self.descriptor} order {self.modulus} "
+                                 f"exceeds the guard {max_order}")
         if self._lattice is None:
-            if self.modulus > max_order:
-                raise SizeGuardError(f"ring {self.descriptor} order {self.modulus} "
-                                     f"exceeds the guard {max_order}")
             self._lattice = enumerate_submodules(
                 self.as_module(), max_order=max_order, max_lattice=max_lattice)
+        elif len(self._lattice) > max_lattice:
+            raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
         return self._lattice
 
     @property

@@ -14,12 +14,15 @@ The D checks are the C checks read in the order-dual lattice.  A `Side`
 record carries everything the duality swaps; each mirrored pair is
 written once over a side and bound to both.  C9/D9 is the one pair that
 is not a mirror, so it is written twice.
+
+The lattice premises of C1, C8, C9, C15 and their duals read the lows'
+primes (`Side.low_prime`) and take no join or meet.
 """
 from __future__ import annotations
 
 from functools import partial
 from itertools import combinations
-from math import gcd, inf
+from math import comb, gcd, inf
 from typing import Callable, NamedTuple, Optional
 
 from .algebra import _is_prime
@@ -67,10 +70,11 @@ class Side(NamedTuple):
 
     The C side reads the lattice under inclusion and the D side under
     reverse inclusion, so meet and join, 0 and M, minimal and maximal,
-    second and prime trade places.  The callables reach instance and
-    lattice members on every call, never through stored methods, so hooks
-    installed on those classes later still see the calls.  The name fields
-    spell the witness keys, which differ by more than the swapped words.
+    second and prime, a low's order and its index trade places.  The
+    callables reach instance and lattice members on every call, never
+    through stored methods, so hooks installed on those classes later
+    still see the calls.  The name fields spell the witness keys, which
+    differ by more than the swapped words.
     """
     graph: GraphKind       # ssi | pss
     tilde: GraphKind       # the ideal graph C14/D14 lifts completeness to
@@ -88,10 +92,8 @@ class Side(NamedTuple):
     core_of: Callable      # inst -> second socle | prime radical
     divisor: Callable      # (lat, sub) -> c with annihilator | colon ideal cZ_n
     meet: Callable         # (lat, a, b) -> meet in the side's order
-    join: Callable         # (lat, a, b) -> join in the side's order
     below: Callable        # (a, b) -> a strictly below b in the side's order
-    is_bottom: Callable    # sub -> 0 | M
-    join_is_top: Callable  # (a, b) -> a + b = M | a n b = 0
+    low_prime: Callable    # low N -> the prime |N| | |M/N|
     plain: Callable        # props -> coreduced | reduced
     transfers: Callable    # props -> the C7/D7 premise
     simple_shape: Callable  # props -> uniform | hollow
@@ -99,15 +101,6 @@ class Side(NamedTuple):
 
     def metrics(self, inst):
         return inst.metrics(self.graph)
-
-
-def _sum_is_full(a, b) -> bool:
-    # |A + B| = |A||B| / |A n B|, so A + B = M iff |A||B| = |M||A n B|
-    return a.order * b.order == a.module.order * (a.mask & b.mask).bit_count()
-
-
-def _meet_is_zero(a, b) -> bool:
-    return a.mask & b.mask == 1  # the zero element sits at position 0
 
 
 SSI_SIDE = Side(
@@ -118,9 +111,8 @@ SSI_SIDE = Side(
     lows=lambda inst: inst.lattice.minimals(), highs=lambda inst: inst.lattice.maximals(),
     flagged=lambda inst: inst.lattice.seconds(), core_of=lambda inst: inst.sec_socle,
     divisor=lambda lat, sub: lat.annihilator_divisor(sub),
-    meet=lambda lat, a, b: lat.meet(a, b), join=lambda lat, a, b: lat.join(a, b),
-    below=lambda a, b: a < b,
-    is_bottom=lambda sub: sub.is_zero, join_is_top=_sum_is_full,
+    meet=lambda lat, a, b: lat.meet(a, b), below=lambda a, b: a < b,
+    low_prime=lambda sub: sub.order,
     plain=lambda props: props.coreduced,
     transfers=lambda props: props.comultiplication,
     simple_shape=lambda props: props.uniform,
@@ -135,9 +127,8 @@ PSS_SIDE = Side(
     lows=lambda inst: inst.lattice.maximals(), highs=lambda inst: inst.lattice.minimals(),
     flagged=lambda inst: inst.lattice.primes(), core_of=lambda inst: inst.radical,
     divisor=lambda lat, sub: lat.colon_divisor(sub),
-    meet=lambda lat, a, b: lat.join(a, b), join=lambda lat, a, b: lat.meet(a, b),
-    below=lambda a, b: b < a,
-    is_bottom=lambda sub: sub.is_full, join_is_top=_meet_is_zero,
+    meet=lambda lat, a, b: lat.join(a, b), below=lambda a, b: b < a,
+    low_prime=lambda sub: sub.module.order // sub.order,
     plain=lambda props: props.reduced,
     transfers=lambda props: props.multiplication,
     simple_shape=lambda props: props.hollow,
@@ -161,6 +152,16 @@ def _has_vertices(side, inst):
     return side.metrics(inst).vertex_count >= 1
 
 
+def _spanning_pairs(side, inst):
+    """The pairs of lows joining to the side's top, in `combinations` order:
+    two minimals of prime orders p, p' meet in 0, so they sum to M iff
+    |M| = pp', and two maximals of prime indices p, p' sum to M, so they
+    meet in 0 iff |M| = pp'."""
+    lows, top = side.lows(inst), inst.lattice.module.order
+    pairs = combinations(zip(lows, map(side.low_prime, lows)), 2)
+    return ((a, b) for (a, p), (b, q) in pairs if p * q == top)
+
+
 # A universal vertex in the side's graph comes from one of two lattice
 # shapes: a unique low submodule, or exactly two whose side-join V is high
 # while everything strictly between the bottom and V is flagged.  On the
@@ -172,14 +173,13 @@ def _few_lows_condition(side, inst):
     lows = side.lows(inst)
     if len(lows) == 1:
         return f"unique-{side.low}"
-    if len(lows) == 2:
-        lat = inst.lattice
-        v = side.join(lat, lows[0], lows[1])
-        flagged = set(side.flagged(inst))
-        if v in side.highs(inst) and all(
-                x in flagged for x in lat.all
-                if not side.is_bottom(x) and side.below(x, v)):
-            return f"two-{side.low}s-{side.flag}-interval"
+    # Two lows of one prime p would span a Z_p x Z_p, which holds p + 1 of
+    # them; so two lows have primes p != p', V is cyclic of order (C) or index
+    # (D) pp', only the two lows, both flagged, lie strictly between the
+    # bottom and V, and V is high iff |M| / pp' is a prime.
+    if len(lows) == 2 and _is_prime(inst.lattice.module.order // (
+            side.low_prime(lows[0]) * side.low_prime(lows[1]))):
+        return f"two-{side.low}s-{side.flag}-interval"
     return None
 
 
@@ -332,9 +332,7 @@ def _claim_7(side, inst):
 
 def _claim_8(side, inst):
     m = side.metrics(inst)
-    spanning = next(([a.label(), b.label()]
-                     for a, b in combinations(side.lows(inst), 2)
-                     if side.join_is_top(a, b)), None)
+    spanning = next((_labels(pair) for pair in _spanning_pairs(side, inst)), None)
     if m.is_connected == (spanning is None) and not (
             m.is_connected and m.diameter > 2):
         return True, None
@@ -350,9 +348,8 @@ def _c9_applies(inst):
 
 
 def _c9_claim(inst):
-    for a, b in combinations(inst.lattice.maximals(), 2):
-        if _meet_is_zero(a, b):
-            return False, {"pair": [a.label(), b.label()]}
+    for pair in _spanning_pairs(PSS_SIDE, inst):
+        return False, {"pair": _labels(pair)}
     return True, None
 
 
@@ -361,11 +358,12 @@ def _d9_applies(inst):
 
 
 def _d9_claim(inst):
-    spans = [_sum_is_full(a, b) for a, b in combinations(inst.lattice.minimals(), 2)]
-    literal = all(spans)
-    witness = {"minimal_pairs": len(spans),
+    pairs = comb(len(inst.lattice.minimals()), 2)
+    spans = sum(1 for _ in _spanning_pairs(SSI_SIDE, inst))
+    literal = spans == pairs
+    witness = {"minimal_pairs": pairs,
                "every_pair_spans": literal,
-               "no_pair_spans": not any(spans)}
+               "no_pair_spans": spans == 0}
     return literal, witness
 
 
@@ -454,25 +452,24 @@ def _claim_14(side, inst):
 
 # -------------------------------------------------------------- C15/D15
 
-def _dominates(g, picked) -> bool:
-    covered = 0
-    for i in picked:
-        covered |= g.rows[i] | 1 << i
-    return covered == (1 << g.vertex_count) - 1
-
-
 def _claim_15(side, inst):
     # Past the first two tests the lows are an irredundant dominating set,
     # so the domination number is at most their count; with at most two of
     # them it is 1 iff some vertex is universal, and their count otherwise.
     g = inst.graph(side.graph)
     lows = side.lows(inst)
-    picked = {g.vertex_for(s).index for s in lows}
-    if not _dominates(g, picked):
+    closed = {i: g.rows[i] | 1 << i for i in sorted(g.vertex_for(s).index for s in lows)}
+    covered = twice = 0
+    for row in closed.values():
+        twice |= covered & row
+        covered |= row
+    if covered != (1 << g.vertex_count) - 1:
         return False, {f"{side.low}s": _labels(lows), "reason": "do not dominate"}
-    for drop in sorted(picked):
-        if _dominates(g, picked - {drop}):
-            return False, {"redundant_member": g.vertices[drop].label}
+    # the rest still dominate without a low iff every vertex its closed
+    # row covers is covered twice
+    for i, row in closed.items():
+        if not row & ~twice:
+            return False, {"redundant_member": g.vertices[i].label}
     if len(lows) <= 2:
         cond = _few_lows_condition(side, inst)
         universal = bool(side.metrics(inst).universal_vertices)

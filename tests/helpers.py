@@ -8,8 +8,9 @@ radical and module properties come from raw definitional loops over all
 elements and all submodules, joins from closing the union under
 addition; graph edges come from one meet or join per vertex pair, graph
 invariants from Floyd-Warshall and subset search, the C7/D7, C8/D8 and
-C9/D9 claims from lattice joins, meets and ideals, the C15/D15 claims from
-the searched domination number, JSON text from json.dumps.
+C9/D9 claims from lattice joins, meets and ideals, the C1/D1 claims from
+the literal few-lows shape, the C15/D15 claims from the searched
+domination number, JSON text from json.dumps.
 The oracles deliberately avoid the package's enumeration and metric code
 paths; only the C15/D15 oracle calls `domination_number`, the exact
 search the package's claim does without.
@@ -456,6 +457,21 @@ def brute_few_lows_condition(inst, ssi):
     return None
 
 
+def brute_claim_1(inst, ssi):
+    """C1 (ssi) or D1: some vertex is adjacent to every other exactly under
+    the few-lows shape; one adjacency test per pair of vertices."""
+    g = inst.graph("ssi" if ssi else "pss")
+    universal = [v.label for v in g.vertices
+                 if len(neighbors(g, v.index)) == g.vertex_count - 1]
+    cond = brute_few_lows_condition(inst, ssi)
+    if bool(universal) == (cond is not None):
+        return True, None
+    low = "minimal" if ssi else "maximal"
+    lows = inst.lattice.minimals() if ssi else inst.lattice.maximals()
+    return False, {"universal_vertices": universal,
+                   f"{low}s": [s.label() for s in lows], "condition": cond}
+
+
 def brute_claim_15(inst, ssi):
     """C15 (ssi) or D15: the minimals (maximals) dominate irredundantly and
     bound the domination number; with at most two of them it is 1 exactly
@@ -487,9 +503,11 @@ def brute_claim_15(inst, ssi):
 
 
 def brute_claims(inst):
-    """(ok, witness) of C7, D7, C8, D8, C9 and D9, hypotheses not tested,
-    and of C15 and D15 where their graph has a vertex."""
+    """(ok, witness) of C1, D1, C7, D7, C8, D8, C9 and D9, hypotheses not
+    tested, and of C15 and D15 where their graph has a vertex."""
     claims = {
+        "C1": brute_claim_1(inst, True),
+        "D1": brute_claim_1(inst, False),
         "C7": brute_transfer_claim(inst, True),
         "D7": brute_transfer_claim(inst, False),
         "C8": brute_connectivity_claim(inst, True),

@@ -19,6 +19,7 @@ from modgraphs import (
     SizeGuardError,
     build_graph,
     enumerate_submodules,
+    generate_family,
     parse_descriptor,
     prime_radical,
     second_socle,
@@ -351,15 +352,22 @@ def closed_form_claims(inst):
     """The package's verdicts on the checks `helpers.brute_claims` covers,
     hypotheses not tested but for C15/D15's nonempty graph."""
     return {cid: CHECKS_BY_ID[cid].claim(inst)
-            for cid in ("C7", "D7", "C8", "D8", "C9", "D9", "C15", "D15")
+            for cid in ("C1", "D1", "C7", "D7", "C8", "D8", "C9", "D9", "C15", "D15")
             if cid[1:] != "15" or CHECKS_BY_ID[cid].applies(inst)}
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
 def test_closed_form_claims_match_lattice_oracles(module_text, ring_text):
-    # C7/D7 on divisors, C8/D8 and C9/D9 on orders and masks, C15/D15 on
-    # universal vertices
+    # C7/D7 on divisors, C1/D1, C8/D8, C9/D9 and C15/D15 on the primes of
+    # the lows, C15/D15 also on universal vertices
     inst = make_instance(module_text, ring_text)
+    assert closed_form_claims(inst) == helpers.brute_claims(inst)
+
+
+@pytest.mark.parametrize("family", ["vector:3^4", "vector:5^3"])
+def test_closed_form_claims_match_lattice_oracles_with_many_lows(family):
+    # 40 and 31 lows on each side, and no pair of them spans
+    inst, = generate_family(family)
     assert closed_form_claims(inst) == helpers.brute_claims(inst)
 
 
@@ -520,6 +528,19 @@ def test_lattice_size_guard_counts_the_product_of_the_parts():
     with pytest.raises(SizeGuardError, match="lattice size exceeds the guard 100"):
         enumerate_submodules(module, max_lattice=100)
     assert len(enumerate_submodules(module, max_lattice=448)) == 448
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_ring_lattice_guards_hold_on_every_call(cached):
+    # a ring whose ideal lattice is already listed meets the guards a fresh
+    # one does; Z4096 has 13 ideals
+    ring = Ring(4096)
+    if cached:
+        assert len(ring.lattice()) == 13
+    with pytest.raises(SizeGuardError, match="^ring Z4096 order 4096 exceeds the guard 100$"):
+        Instance(FiniteModule(ring, (2, 4)), max_order=100).ring_lattice
+    with pytest.raises(SizeGuardError, match="^lattice size exceeds the guard 12$"):
+        ring.lattice(max_lattice=12)
 
 
 # ------------------------------------------------------------ properties

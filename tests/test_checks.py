@@ -7,9 +7,9 @@ import pytest
 import helpers
 from conftest import make_instance
 from modgraphs import (CHECKS, CHECKS_BY_ID, DEFAULT_FAMILY, GraphKind, Instance,
-                       SimpleGraph, domination_number, evaluate_check, generate_family,
-                       graph_metrics, graphs, run_suite)
-from modgraphs.checks import REPORT, STRICT, Check
+                       SimpleGraph, SubmoduleLattice, domination_number, evaluate_check,
+                       generate_family, graph_metrics, graphs, run_suite)
+from modgraphs.checks import PSS_SIDE, REPORT, SSI_SIDE, STRICT, Check
 from modgraphs.harness import CheckReport
 
 
@@ -219,6 +219,32 @@ def test_check_runs_no_domination_search_and_no_pis_graph(family, monkeypatch):
     assert not run_suite(family, "all").failures()
 
 
+class _NoScan(tuple):
+    def __iter__(self):
+        raise AssertionError("scan over every member")
+
+
+@pytest.mark.parametrize("family", [DEFAULT_FAMILY, LADDER_FAMILY])
+def test_lattice_premises_take_no_join_meet_or_member_scan(family, monkeypatch):
+    # two lows joining to the top and the two-lows shape are read off the
+    # lows' prime orders; the graphs, metrics and lows are built first
+    insts = generate_family(family)
+    for inst in insts:
+        for side in (SSI_SIDE, PSS_SIDE):
+            side.metrics(inst)
+            side.lows(inst)
+
+    def refuse(self, a, b):
+        raise AssertionError("lattice join or meet taken")
+
+    monkeypatch.setattr(SubmoduleLattice, "join", refuse)
+    monkeypatch.setattr(SubmoduleLattice, "meet", refuse)
+    for inst in insts:
+        monkeypatch.setattr(inst.lattice, "all", _NoScan(inst.lattice.all))
+        for cid in ("C1", "D1", "C8", "D8", "C9", "D9", "C15", "D15"):
+            assert evaluate_check(CHECKS_BY_ID[cid], inst).verdict != "fail", (cid, inst)
+
+
 # ----------------------------------------- failure witnesses, pinned exactly
 #
 # No module in the bundled families breaks a strict check, so the failure
@@ -415,8 +441,8 @@ def test_c15_witness_reads_the_domination_number_off_universal_vertices(
 
 
 def test_doctored_graphs_reach_every_closed_form_witness():
-    # rewired graphs break C7, D7, C8, D8, C15 and D15; C9 and D9 read the
-    # lattice alone and fail without a hypothesis to hold them back
+    # rewired graphs break C1, D1, C7, D7, C8, D8, C15 and D15; C9 and D9
+    # read the lattice alone and fail without a hypothesis to hold them back
     failed = set()
     for base in generate_family(DOCTORED_FAMILY):
         for _name, doctor in DOCTORINGS:
@@ -426,4 +452,4 @@ def test_doctored_graphs_reach_every_closed_form_witness():
                 assert CHECKS_BY_ID[cid].claim(inst) == (ok, witness), (cid, inst)
                 if not ok:
                     failed.add(cid)
-    assert failed == {"C7", "D7", "C8", "D8", "C9", "D9", "C15", "D15"}
+    assert failed == {"C1", "D1", "C7", "D7", "C8", "D8", "C9", "D9", "C15", "D15"}
