@@ -24,7 +24,7 @@ the exponents of its p-parts, each carried up its part's cover walk as
 exp(a + <g>) = max(exp a, |<g>|) (cZ_d in a cyclic Z_d has exponent
 d/c), and exp(M/N) is the lcm of the orders |<e_i>| / |<e_i> n N| of
 e_i + N over the unit generators e_i.  dM lies in N for d = exp(M/N),
-the only d with dM = N if any, so N is dM iff |N| = |dM|.
+the only d with dM = N if any, so N is dM iff it has the mask of dM.
 
 Let q be the product of the primes dividing exp(M), which enumeration
 finds once and hands to the lattice.  The second socle of N is N n M[q],
@@ -346,13 +346,13 @@ class Submodule:
 
     def label(self, symbol: str = "M") -> str:
         """Short name: 0, M, dM when the submodule equals d*M, else generators;
-        d can only be exp(M/N), and |dM| = prod d_i / gcd(d, d_i)."""
+        d can only be exp(M/N), so N is dM iff its mask is that of dM."""
         if self.is_zero:
             return "0"
         if self.is_full:
             return symbol
         d = self.quotient_exponent
-        if self.order == prod(f // gcd(d, f) for f in self.module.invariant_factors):
+        if self.mask == self.module.scaled_mask(d):
             return f"{d}{symbol}"
         return "<" + ",".join(_format_element(g) for g in self.generators) + ">"
 
@@ -564,13 +564,12 @@ def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int,
     # p-parts.  Each cyclic p-subgroup <x> is spanned once, as the cover of
     # index p of <px>, and recorded under each of its generators.
     pa = gcd(module.exponent, p ** module.exponent.bit_length())  # p^a, the p-part of exp(M)
-    factors = module.invariant_factors
-    if sum(d % p == 0 for d in factors) == 1:
+    if sum(d % p == 0 for d in module.invariant_factors) == 1:
         # a cyclic p-part Z_{p^a} has one submodule p^j Z_{p^a} per j <= a,
         # so the interval is the chain of the p^j M, of p-exponents p^(a-j)
         chain, pj = {}, 1
         while pa % pj == 0:
-            chain[_coordinate_mask(module, [gcd(pj, d) for d in factors])] = pa // pj
+            chain[module.scaled_mask(pj)] = pa // pj
             pj *= p
         return chain
     els = module.elements()
@@ -617,17 +616,18 @@ def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int,
 class SubmoduleLattice:
     """The full submodule lattice with classification flags.
 
-    Members are indexed by their masks, so meet is a mask AND and a
-    dictionary read, and join a search of one order bucket.  The colon
-    and annihilator ideals of N are exp(M/N)Z_n and exp(N)Z_n, read off
-    the member (`Submodule.quotient_exponent`, `Submodule.exponent`).  The
-    flags are primality tests on numbers the lattice already has (see
-    the module docstring): second and prime on those two ideal divisors,
-    minimal and maximal on |N| and |M/N|; large and small compare the
-    mask with M[q] and qM, for `prime_product` q.  The module properties
-    are facts about |M|, exp(M), q and n, apart from hollow and uniform,
-    which read the small and large flags.  Each flag is computed on every
-    call; the seconds, primes, minimals and maximals are kept once listed.
+    Members are indexed by their masks: M, each ideal cZ_n, a meet, the
+    second socle and the prime radical are reads of a closed-form mask,
+    and join searches one order bucket.  The colon and annihilator ideals
+    of N are exp(M/N)Z_n and exp(N)Z_n, read off the member
+    (`Submodule.quotient_exponent`, `Submodule.exponent`).  The flags are
+    primality tests on numbers the members hold (see the module
+    docstring): second and prime on those two divisors, minimal and
+    maximal on |N| and |M/N|; large and small compare the mask with M[q]
+    and qM, for `prime_product` q.  The module properties are facts about
+    |M|, exp(M), q and n, apart from hollow and uniform, which read the
+    small and large flags.  Each flag is computed on every call; the
+    seconds, primes, minimals and maximals are kept once listed.
     """
 
     def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
@@ -636,7 +636,7 @@ class SubmoduleLattice:
         self.all = members
         self.prime_product = prime_product  # q, the primes dividing exp(M) multiplied
         self._by_mask = {s.mask: i for i, s in enumerate(members)}
-        self._by_order: dict[int, list[int]] = {}
+        self._by_order: dict[int, list[int]] = {}  # read by `join` alone
         for i, s in enumerate(members):
             self._by_order.setdefault(s.order, []).append(i)
         self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
@@ -654,7 +654,7 @@ class SubmoduleLattice:
 
     @property
     def top(self) -> Submodule:
-        return self.all[self._by_order[self.module.order][0]]
+        return self.all[self._by_mask[(1 << self.module.order) - 1]]
 
     def proper_nonzero(self) -> tuple[Submodule, ...]:
         return tuple(s for s in self.all if not s.is_zero and not s.is_full)
@@ -685,47 +685,41 @@ class SubmoduleLattice:
         raise AssertionError("lattice is missing a join")
 
     def meet(self, a: Submodule, b: Submodule) -> Submodule:
-        i, j = self.index_of(a), self.index_of(b)
-        return self.all[self._by_mask[self.all[i].mask & self.all[j].mask]]
+        self.index_of(a)  # rejects a submodule from another module
+        self.index_of(b)
+        return self.all[self._by_mask[a.mask & b.mask]]
 
     def ideal(self, c: int) -> Submodule:
-        """The ideal cZ_n, the one member of order n / gcd(c, n); only the
-        lattice of Z_n over itself holds ideals."""
+        """The ideal cZ_n, which is cM for M = Z_n; only the lattice of Z_n
+        over itself holds ideals, as any other would return cM."""
         if self.module != self.module.ring.as_module():
             raise ValueError("ideals live in the lattice of Z_n over itself, "
                              f"not of {self.module!r}")
-        n = self.module.order
-        return self.all[self._by_order[n // gcd(c, n)][0]]
+        return self.all[self._by_mask[self.module.scaled_mask(c)]]
 
     # -- classification flags ------------------------------------------
 
-    def colon_divisor(self, sub: Submodule) -> int:
-        """The c with (sub :_R M) = cZ_n, the exponent of M/sub."""
-        self.index_of(sub)  # rejects a submodule from another module
-        return sub.quotient_exponent
-
-    def annihilator_divisor(self, sub: Submodule) -> int:
-        """The c with Ann_R(sub) = cZ_n, the exponent of sub."""
-        self.index_of(sub)
-        return sub.exponent
-
     def colon_elements(self, sub: Submodule) -> frozenset:
-        """The residues of (sub :_R M)."""
-        return frozenset(range(0, self.module.ring.modulus, self.colon_divisor(sub)))
+        """The residues of (sub :_R M) = exp(M/sub)Z_n."""
+        self.index_of(sub)  # rejects a submodule from another module
+        return frozenset(range(0, self.module.ring.modulus, sub.quotient_exponent))
 
     def annihilator_elements(self, sub: Submodule) -> frozenset:
-        """The residues of Ann_R(sub)."""
-        return frozenset(range(0, self.module.ring.modulus, self.annihilator_divisor(sub)))
+        """The residues of Ann_R(sub) = exp(sub)Z_n."""
+        self.index_of(sub)
+        return frozenset(range(0, self.module.ring.modulus, sub.exponent))
 
     def is_second(self, sub: Submodule) -> bool:
         # rN = N iff r is prime to exp(N), and rN = 0 iff exp(N) | r; every r
         # does one or the other iff exp(N) is a prime (N = 0 has exponent 1)
-        return _is_prime(self.annihilator_divisor(sub))
+        self.index_of(sub)
+        return _is_prime(sub.exponent)
 
     def is_prime(self, sub: Submodule) -> bool:
         # dually, r acts on M/P as 0 or injectively for every r iff exp(M/P)
         # is a prime (P = M has exponent 1)
-        return _is_prime(self.colon_divisor(sub))
+        self.index_of(sub)
+        return _is_prime(sub.quotient_exponent)
 
     def is_minimal(self, sub: Submodule) -> bool:
         # a group of composite order has a subgroup of prime order; M itself

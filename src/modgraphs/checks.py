@@ -90,7 +90,7 @@ class Side(NamedTuple):
     highs: Callable        # inst -> maximals | minimals
     flagged: Callable      # inst -> seconds | primes
     core_of: Callable      # inst -> second socle | prime radical
-    divisor: Callable      # (lat, sub) -> c with annihilator | colon ideal cZ_n
+    divisor: Callable      # sub -> c with annihilator | colon ideal cZ_n
     meet: Callable         # (lat, a, b) -> meet in the side's order
     below: Callable        # (a, b) -> a strictly below b in the side's order
     low_prime: Callable    # low N -> the prime |N| | |M/N|
@@ -110,7 +110,7 @@ SSI_SIDE = Side(
     spanning="minimal_pair_spanning", endpoint="smaller",
     lows=lambda inst: inst.lattice.minimals(), highs=lambda inst: inst.lattice.maximals(),
     flagged=lambda inst: inst.lattice.seconds(), core_of=lambda inst: inst.sec_socle,
-    divisor=lambda lat, sub: lat.annihilator_divisor(sub),
+    divisor=lambda sub: sub.exponent,
     meet=lambda lat, a, b: lat.meet(a, b), below=lambda a, b: a < b,
     low_prime=lambda sub: sub.order,
     plain=lambda props: props.coreduced,
@@ -126,7 +126,7 @@ PSS_SIDE = Side(
     spanning="maximal_pair_meeting_in_zero", endpoint="larger",
     lows=lambda inst: inst.lattice.maximals(), highs=lambda inst: inst.lattice.minimals(),
     flagged=lambda inst: inst.lattice.primes(), core_of=lambda inst: inst.radical,
-    divisor=lambda lat, sub: lat.colon_divisor(sub),
+    divisor=lambda sub: sub.quotient_exponent,
     meet=lambda lat, a, b: lat.join(a, b), below=lambda a, b: b < a,
     low_prime=lambda sub: sub.module.order // sub.order,
     plain=lambda props: props.reduced,
@@ -209,9 +209,8 @@ def _applies_2(side, inst):
 
 
 def _claim_2(side, inst):
+    # exp(M) is not q, so M[q] and qM are proper and nonzero: a vertex
     core = side.core_of(inst)
-    if core.is_zero or core.is_full:
-        return False, {side.core: core.label(), "reason": "not a vertex"}
     g = inst.graph(side.graph)
     vi = g.vertex_for(core).index
     missed = [s.label() for s in side.flagged(inst)
@@ -307,13 +306,13 @@ def _claim_7(side, inst):
     lat, n = inst.lattice, inst.ring.modulus
     g = inst.graph(side.graph)
     vs = lat.proper_nonzero()
-    cs = [side.divisor(lat, s) for s in vs]
+    cs = [side.divisor(s) for s in vs]
     for i, j in combinations(range(len(vs)), 2):
         c, d = cs[i], cs[j]
         if c == n or d == n or c == d:
             continue
         e = gcd(c, d)
-        if side.divisor(lat, side.meet(lat, vs[i], vs[j])) != e:
+        if side.divisor(side.meet(lat, vs[i], vs[j])) != e:
             continue
         lhs = g.adjacent(i, j)
         rhs = _is_prime(e)
@@ -536,7 +535,8 @@ CHECKS: tuple[Check, ...] = (
     _sided("C13", "ssi-uniform-all-second-complete", STRICT,
            _applies_13, _claim_13,
            "uniform modules all of whose nonzero submodules are second have "
-           "complete graphs; no instance in the bundled families qualifies"),
+           "complete graphs; no finite module qualifies (uniform and all "
+           "second force M = Z_p, which has no vertex)"),
     _sided("C14", "ssi-complete-lifts-to-colon-ideal-graph", STRICT,
            _applies_14, _claim_14,
            "for strong comultiplication modules a complete intersection "
@@ -597,7 +597,8 @@ CHECKS: tuple[Check, ...] = (
     _sided("D13", "pss-hollow-all-prime-complete", STRICT,
            _applies_13, _claim_13,
            "hollow modules all of whose proper submodules are prime have "
-           "complete graphs; no instance in the bundled families qualifies"),
+           "complete graphs; no finite module qualifies (hollow and all "
+           "prime force M = Z_p, which has no vertex)"),
     _sided("D14", "pss-complete-lifts-to-annihilator-graph", STRICT,
            _applies_14, _claim_14,
            "for faithful multiplication modules a complete sum graph forces "

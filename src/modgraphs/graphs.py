@@ -213,10 +213,10 @@ def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattic
     ring = module.ring
     if ring_lattice is None:
         ring_lattice = ring.lattice()
-    divisor = (lattice.colon_divisor if kind is GraphKind.PSS_TILDE
-               else lattice.annihilator_divisor)
-    picked = {ring_lattice.ideal(divisor(s)) for s in lattice.all}
-    ideals = [i for i in ring_lattice.proper_nonzero() if i in picked]
+    # the ideal cZ_n, c | n, has colon divisor exp(Z_n/cZ_n) = c
+    colon = kind is GraphKind.PSS_TILDE
+    picked = {s.quotient_exponent if colon else s.exponent for s in lattice.all}
+    ideals = [i for i in ring_lattice.proper_nonzero() if i.quotient_exponent in picked]
     return _witness_graph(kind, module, ring_lattice, ideals, "R")
 
 

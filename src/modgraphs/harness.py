@@ -89,10 +89,10 @@ class Instance:
         return self.lattice.properties()
 
     def ann_ideal(self, sub: Submodule) -> Submodule:
-        return self.ring_lattice.ideal(self.lattice.annihilator_divisor(sub))
+        return self.ring_lattice.ideal(sub.exponent)
 
     def colon_of(self, sub: Submodule) -> Submodule:
-        return self.ring_lattice.ideal(self.lattice.colon_divisor(sub))
+        return self.ring_lattice.ideal(sub.quotient_exponent)
 
     def graph(self, kind):
         kind = _coerce_kind(kind)

@@ -4,6 +4,7 @@ import math
 import random
 import weakref
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,12 +55,13 @@ class TestFrozenZ12:
 
     def test_colon_and_annihilator_ideals(self, z12):
         lat = z12.lattice
-        assert lat.annihilator_divisor(by_label(lat, "6M")) == 2
-        assert lat.annihilator_divisor(by_label(lat, "2M")) == 6
-        assert lat.colon_divisor(by_label(lat, "2M")) == 2
-        assert lat.colon_divisor(lat.zero) == 12
-        zero_colon = z12.ring_lattice.ideal(lat.colon_divisor(lat.zero))
-        assert zero_colon.is_zero
+        # Ann(N) = exp(N)Z_n and (N : M) = exp(M/N)Z_n
+        assert by_label(lat, "6M").exponent == 2
+        assert by_label(lat, "2M").exponent == 6
+        assert by_label(lat, "2M").quotient_exponent == 2
+        assert lat.zero.quotient_exponent == 12
+        assert z12.ann_ideal(by_label(lat, "6M")).label("R") == "2R"
+        assert z12.colon_of(lat.zero).is_zero
 
     def test_properties(self, z12):
         p = z12.props
@@ -669,8 +671,41 @@ def test_annihilator_of_second_is_prime_ideal(params, seed):
     assert inst.ring_lattice.is_prime(ideal)
 
 
+class _Unreadable(Mapping):
+    """A mapping that fails on any read."""
+
+    def __getitem__(self, key):
+        raise AssertionError("the order buckets were read")
+
+    def __iter__(self):
+        raise AssertionError("the order buckets were read")
+
+    def __len__(self):
+        raise AssertionError("the order buckets were read")
+
+
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
+def test_closed_form_members_read_no_order_bucket(module_text, ring_text, monkeypatch):
+    # M, each cZ_n, meets, the socle, the radical and the dM labels are
+    # found by mask; only join reads the order buckets
+    inst = make_instance(module_text, ring_text)
+    for lat in (inst.lattice, inst.ring_lattice):
+        monkeypatch.setattr(lat, "_by_order", _Unreadable())
+        assert lat.top.is_full
+        if lat.module == lat.module.ring.as_module():
+            n = lat.module.order
+            for c in algebra.divisors(n):
+                assert lat.ideal(c).elements == {(c * k % n,) for k in range(n)}, c
+        for a in lat.all:
+            for b in lat.all:
+                assert lat.meet(a, b).mask == a.mask & b.mask, (a, b)
+            assert second_socle(a, lat).mask == a.mask & second_socle(lat.top, lat).mask
+            assert a.label() == helpers.brute_label(a), a
+        assert prime_radical(lat).mask == lat.module.scaled_mask(lat.prime_product)
+
+
 def test_ideal_lookup_needs_the_ring_lattice(z2z4):
-    # ideals are found by order, which names one member only in Z_n's lattice
+    # ideals are found by the mask of cM, which is cZ_n only in Z_n's lattice
     with pytest.raises(ValueError):
         z2z4.lattice.ideal(2)
     assert z2z4.ring_lattice.ideal(2).elements == frozenset({(0,), (2,)})

@@ -120,6 +120,19 @@ def test_complete_graph_hypotheses_do_not_fire_here(text, ring):
     assert run("D13", inst).verdict == "not_applicable"
 
 
+LADDER_FAMILY = ("zmod:Z16xZ16,zmod:Z4xZ4xZ4,zmod:Z5xZ5xZ5/Z5,zmod:Z2xZ4xZ8,"
+                 "zmod:Z2xZ2xZ2xZ2/Z2")
+
+
+@pytest.mark.parametrize("family", [DEFAULT_FAMILY, LADDER_FAMILY, "cyclic:2..200"])
+def test_c13_and_d13_never_apply(family):
+    # uniform (hollow) forces a cyclic p-group, every nonzero submodule second
+    # (every proper one prime) then forces exponent p, and Z_p has no vertex
+    for inst in generate_family(family):
+        assert run("C13", inst).verdict == "not_applicable", inst.descriptor
+        assert run("D13", inst).verdict == "not_applicable", inst.descriptor
+
+
 # ------------------------------------------------- ideal-graph transfers
 
 def test_ideal_graph_transfers_apply_and_pass():
@@ -308,8 +321,9 @@ DOCTORINGS = (("swap", _swapped), ("empty", _emptied),
 
 class DoctoredInstance(Instance):
     """An instance whose graphs are rewired by `doctor(base, kind)`, which
-    returns the new edge list, or None to keep the real graph.  The PIS
-    graph is never rewired; the lattice is shared with `base`."""
+    returns the new edge list, or None to keep the real graph; only the
+    SSI, PSS and tilde graphs, the ones the checks read, are rewired.  The
+    lattice is shared with `base`."""
 
     def __init__(self, base, doctor):
         super().__init__(base.module, max_order=base.max_order,

@@ -83,6 +83,17 @@ def test_guard_names_the_ring_when_the_ring_is_refused(argv, capsys):
     assert err == "error: ring Z4096 order 4096 exceeds the guard 100\n"
 
 
+def test_check_reads_the_ring_lattice_only_where_a_check_needs_it(capsys):
+    # in `check` only C14/D14, which need Z_n over itself, and a C7 failure
+    # witness read the ideal lattice, so the guard on Z4096 never fires
+    code, _, _ = run_cli("check", "--family", "zmod:Z2/Z4096", "--max-order", "100",
+                         "--checks", "all", capsys=capsys)
+    assert code == 0
+    code, _, err = run_cli("classify", "--module", "Z2", "--ring", "Z4096",
+                           "--max-order", "100", capsys=capsys)
+    assert code == 3 and "ring Z4096" in err
+
+
 def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
     # a million-module family must stop at its first oversized module, not
     # after every module in it has been built
