@@ -23,8 +23,10 @@ Both exponents are read off with no search: exp(N) is the product of
 the exponents of its p-parts, each carried up its part's cover walk as
 exp(a + <g>) = max(exp a, |<g>|) (cZ_d in a cyclic Z_d has exponent
 d/c), and exp(M/N) is the lcm of the orders |<e_i>| / |<e_i> n N| of
-e_i + N over the unit generators e_i.  dM lies in N for d = exp(M/N),
-the only d with dM = N if any, so N is dM iff it has the mask of dM.
+e_i + N over the unit generators e_i, which enumeration reads once per
+member of a walked p-part and multiplies across the parts as it does
+exp(N) (cZ_d has c).  dM lies in N for d = exp(M/N), the only d with
+dM = N if any, so N is dM iff it has the mask of dM.
 
 Let q be the product of the primes dividing exp(M), which enumeration
 finds once and hands to the lattice.  The second socle of N is N n M[q],
@@ -299,18 +301,20 @@ class Submodule:
     Bit p of `mask` is set when the element at position p of
     `module.elements()` lies in the submodule.  Equality is equal masks
     in equal modules, and `<=`/`<` are mask containment.  `exponent` is
-    exp(N), which every constructor already knows; exp(M/N) and the
-    canonical generators are computed on first read and kept, and the
-    element set is derived from the mask on each read of `elements`.
+    exp(N), which every constructor already knows; exp(M/N), unless
+    enumeration hands it in, and the canonical generators are computed on
+    first read and kept, and the element set is derived from the mask on
+    each read of `elements`.
     """
 
     __slots__ = ("module", "mask", "exponent", "_quotient_exponent", "_generators")
 
-    def __init__(self, module: FiniteModule, mask: int, exponent: int):
+    def __init__(self, module: FiniteModule, mask: int, exponent: int,
+                 quotient_exponent: int | None = None):
         self.module = module
         self.mask = mask
         self.exponent = exponent
-        self._quotient_exponent = None
+        self._quotient_exponent = quotient_exponent
         self._generators = None
 
     @property
@@ -339,9 +343,7 @@ class Submodule:
     def quotient_exponent(self) -> int:
         """exp(M/N), the lcm of the orders |<e_i>| / |<e_i> n N| of e_i + N."""
         if self._quotient_exponent is None:
-            mask = self.mask
-            self._quotient_exponent = lcm(*(c.bit_count() // (c & mask).bit_count()
-                                            for c in self.module.unit_spans()))
+            self._quotient_exponent = _quotient_exponent(self.module, self.mask)
         return self._quotient_exponent
 
     def label(self, symbol: str = "M") -> str:
@@ -377,6 +379,10 @@ class Submodule:
 
     def __repr__(self):
         return f"Submodule({self.label()} of {self.module.descriptor})"
+
+
+def _quotient_exponent(module: FiniteModule, mask: int) -> int:
+    return lcm(*(c.bit_count() // (c & mask).bit_count() for c in module.unit_spans()))
 
 
 def _format_element(x: Element) -> str:
@@ -490,6 +496,21 @@ def span(module: FiniteModule, gens) -> Submodule:
                      lcm(*(d // gcd(a, d) for g in gens for a, d in zip(g, factors))))
 
 
+# The member families a lattice lists, as tests on a member's own numbers;
+# the `is_X` flags add a membership check.  N != 0 is second iff each r has
+# rN = N (r prime to exp(N)) or rN = 0 (exp(N) | r), iff exp(N) is a prime
+# (0 has exponent 1), and dually on M/P; a group of composite order has a
+# proper nonzero subgroup, so N != M is minimal iff |N| is a prime, and
+# N != 0 maximal iff |M/N| is.
+_MEMBER_TESTS = {
+    "second": lambda s: _is_prime(s.exponent),
+    "prime": lambda s: _is_prime(s.quotient_exponent),
+    "minimal": lambda s: not s.is_full and _is_prime(s.mask.bit_count()),
+    "maximal": lambda s: not s.is_zero and _is_prime(s.module.order // s.mask.bit_count()),
+    "proper_nonzero": lambda s: not s.is_zero and not s.is_full,
+}
+
+
 class SubmoduleFlags(NamedTuple):
     is_prime: bool
     is_second: bool
@@ -541,8 +562,9 @@ def enumerate_submodules(module: FiniteModule, *,
     and each L(M[p^a]) is read as the interval [p^a M, M] over p^a M, the
     sum of the other parts: the chain of the p^j M when M[p^a] is cyclic,
     else walked one cover step per Hasse edge.  A member of L(M) is the
-    intersection of one member of each interval, and its exponent the
-    product of theirs; so a cyclic Z_d gets each cZ_d, of exponent d/c.
+    intersection of one member of each interval, and its exponent, and
+    that of M over it, the products of theirs; so a cyclic Z_d gets each
+    cZ_d, of exponent d/c and quotient exponent c.
     """
     guard_module_order(module, max_order)
     # past the guard, as listing the divisors of a huge exponent is slow;
@@ -551,25 +573,27 @@ def enumerate_submodules(module: FiniteModule, *,
     parts = [_sylow_interval(module, p, max_lattice) for p in primes]
     if prod(map(len, parts)) > max_lattice:
         raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
-    subs = {(1 << module.order) - 1: 1}
+    subs = {(1 << module.order) - 1: (1, 1)}
     for part in parts:
-        subs = {m & pm: e * pe for m, e in subs.items() for pm, pe in part.items()}
+        subs = {m & pm: (e * pe, c * pc) for m, (e, c) in subs.items()
+                for pm, (pe, pc) in part.items()}
     # ascending positions list the elements in sorted order
     return SubmoduleLattice(module, tuple(
-        Submodule(module, m, subs[m]) for m in sorted(subs, key=mask_sort_key)), prod(primes))
+        Submodule(module, m, *subs[m]) for m in sorted(subs, key=mask_sort_key)), prod(primes))
 
 
-def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int, int]:
-    # The members of [p^a M, M], keyed by mask, with the exponents of their
-    # p-parts.  Each cyclic p-subgroup <x> is spanned once, as the cover of
-    # index p of <px>, and recorded under each of its generators.
+def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int, tuple]:
+    # The members a of [p^a M, M], keyed by mask, with the exponents of their
+    # p-parts and of M/a.  Each cyclic p-subgroup <x> is spanned once, as the
+    # cover of index p of <px>, and recorded under each of its generators.
     pa = gcd(module.exponent, p ** module.exponent.bit_length())  # p^a, the p-part of exp(M)
     if sum(d % p == 0 for d in module.invariant_factors) == 1:
         # a cyclic p-part Z_{p^a} has one submodule p^j Z_{p^a} per j <= a,
         # so the interval is the chain of the p^j M, of p-exponents p^(a-j)
+        # and quotient exponents p^j
         chain, pj = {}, 1
         while pa % pj == 0:
-            chain[module.scaled_mask(pj)] = pa // pj
+            chain[module.scaled_mask(pj)] = (pa // pj, pj)
             pj *= p
         return chain
     els = module.elements()
@@ -610,7 +634,7 @@ def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int,
                     raise SizeGuardError(
                         f"lattice size exceeds the guard {max_lattice}")
                 queue.append(joined)
-    return subs
+    return {m: (e, _quotient_exponent(module, m)) for m, e in subs.items()}
 
 
 class SubmoduleLattice:
@@ -618,16 +642,16 @@ class SubmoduleLattice:
 
     Members are indexed by their masks: M, each ideal cZ_n, a meet, the
     second socle and the prime radical are reads of a closed-form mask,
-    and join searches one order bucket.  The colon and annihilator ideals
-    of N are exp(M/N)Z_n and exp(N)Z_n, read off the member
-    (`Submodule.quotient_exponent`, `Submodule.exponent`).  The flags are
-    primality tests on numbers the members hold (see the module
-    docstring): second and prime on those two divisors, minimal and
-    maximal on |N| and |M/N|; large and small compare the mask with M[q]
-    and qM, for `prime_product` q.  The module properties are facts about
-    |M|, exp(M), q and n, apart from hollow and uniform, which read the
-    small and large flags.  Each flag is computed on every call; the
-    seconds, primes, minimals and maximals are kept once listed.
+    and join searches one order bucket, the buckets built on the first
+    join.  The annihilator and colon ideals of N are exp(N)Z_n and
+    exp(M/N)Z_n, read off the member.  The flags are primality tests on
+    numbers the members hold: second and prime on those two divisors,
+    minimal and maximal on |N| and |M/N|; large and small compare the mask
+    with M[q] and qM, for `prime_product` q.  Each `is_X(sub)` first checks
+    that sub is a member; the proper nonzero members, seconds, primes,
+    minimals and maximals are listed once by the bare tests and kept.  The
+    module properties are facts about |M|, exp(M), q and n, apart from
+    hollow and uniform, which read the small and large flags.
     """
 
     def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
@@ -636,9 +660,7 @@ class SubmoduleLattice:
         self.all = members
         self.prime_product = prime_product  # q, the primes dividing exp(M) multiplied
         self._by_mask = {s.mask: i for i, s in enumerate(members)}
-        self._by_order: dict[int, list[int]] = {}  # read by `join` alone
-        for i, s in enumerate(members):
-            self._by_order.setdefault(s.order, []).append(i)
+        self._by_order: dict[int, list[int]] | None = None  # built by the first `join`
         self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
         self._props = None
 
@@ -657,7 +679,7 @@ class SubmoduleLattice:
         return self.all[self._by_mask[(1 << self.module.order) - 1]]
 
     def proper_nonzero(self) -> tuple[Submodule, ...]:
-        return tuple(s for s in self.all if not s.is_zero and not s.is_full)
+        return self._members("proper_nonzero")
 
     def index_of(self, sub: Submodule) -> int:
         if not _same_module(sub.module, self.module):
@@ -678,6 +700,10 @@ class SubmoduleLattice:
             return self.all[j]
         if union == mi:
             return self.all[i]
+        if self._by_order is None:
+            self._by_order = {}
+            for k, s in enumerate(self.all):
+                self._by_order.setdefault(s.order, []).append(k)
         order = mi.bit_count() * mj.bit_count() // (mi & mj).bit_count()
         for k in self._by_order[order]:
             if self.all[k].mask & union == union:
@@ -709,28 +735,21 @@ class SubmoduleLattice:
         self.index_of(sub)
         return frozenset(range(0, self.module.ring.modulus, sub.exponent))
 
+    def _flag(self, family: str, sub: Submodule) -> bool:
+        self.index_of(sub)  # rejects a submodule from another module
+        return _MEMBER_TESTS[family](sub)
+
     def is_second(self, sub: Submodule) -> bool:
-        # rN = N iff r is prime to exp(N), and rN = 0 iff exp(N) | r; every r
-        # does one or the other iff exp(N) is a prime (N = 0 has exponent 1)
-        self.index_of(sub)
-        return _is_prime(sub.exponent)
+        return self._flag("second", sub)
 
     def is_prime(self, sub: Submodule) -> bool:
-        # dually, r acts on M/P as 0 or injectively for every r iff exp(M/P)
-        # is a prime (P = M has exponent 1)
-        self.index_of(sub)
-        return _is_prime(sub.quotient_exponent)
+        return self._flag("prime", sub)
 
     def is_minimal(self, sub: Submodule) -> bool:
-        # a group of composite order has a subgroup of prime order; M itself
-        # is never minimal, so a simple M has no minimal submodule
-        self.index_of(sub)
-        return not sub.is_full and _is_prime(sub.order)
+        return self._flag("minimal", sub)
 
     def is_maximal(self, sub: Submodule) -> bool:
-        # dually, a quotient of composite order has a proper nonzero subgroup
-        self.index_of(sub)
-        return not sub.is_zero and _is_prime(self.module.order // sub.order)
+        return self._flag("maximal", sub)
 
     def is_large(self, sub: Submodule) -> bool:
         # every nonzero submodule contains one of prime order, which meets S
@@ -757,24 +776,23 @@ class SubmoduleLattice:
             is_small=self.is_small(sub),
         )
 
-    def _members(self, family: str, test) -> tuple[Submodule, ...]:
-        # keyed by a string, as a bound-method key would make a reference cycle
+    def _members(self, family: str) -> tuple[Submodule, ...]:
         got = self._member_tuples.get(family)
         if got is None:
-            got = self._member_tuples[family] = tuple(filter(test, self.all))
+            got = self._member_tuples[family] = tuple(filter(_MEMBER_TESTS[family], self.all))
         return got
 
     def seconds(self) -> tuple[Submodule, ...]:
-        return self._members("second", self.is_second)
+        return self._members("second")
 
     def primes(self) -> tuple[Submodule, ...]:
-        return self._members("prime", self.is_prime)
+        return self._members("prime")
 
     def minimals(self) -> tuple[Submodule, ...]:
-        return self._members("minimal", self.is_minimal)
+        return self._members("minimal")
 
     def maximals(self) -> tuple[Submodule, ...]:
-        return self._members("maximal", self.is_maximal)
+        return self._members("maximal")
 
     # -- module-level properties ---------------------------------------
 

@@ -7,8 +7,8 @@ they apply to; report checks record counterexamples as findings instead
 of failures, for statements that are known to break.
 
 The context object passed in (see `harness.Instance`) memoizes the
-lattice, the graphs, their metrics, and the ring-side ideals, so checks
-can share the expensive work.
+lattice, graphs, metrics and ring lattice, and `facts` reads what one
+side's checks share once per instance.
 
 The D checks are the C checks read in the order-dual lattice.  A `Side`
 record carries everything the duality swaps; each mirrored pair is
@@ -16,7 +16,7 @@ written once over a side and bound to both.  C9/D9 is the one pair that
 is not a mirror, so it is written twice.
 
 The lattice premises of C1, C8, C9, C15 and their duals read the lows'
-primes (`Side.low_prime`) and take no join or meet.
+primes (`Side.low_prime`); C7/D7 take a meet (join) for a failing pair only.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb, gcd, inf
 from typing import Callable, NamedTuple, Optional
 
-from .algebra import _is_prime
+from .algebra import _is_prime, bit_positions
 from .graphs import GraphKind
 
 STRICT = "strict"
@@ -54,12 +54,8 @@ class CheckResult:
         self.millis = millis
 
     def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
-            "check": self.check_id,
-            "instance": self.instance,
-            "verdict": self.verdict,
-            "witness": self.witness,
-        }
+        out = {"check": self.check_id, "instance": self.instance,
+               "verdict": self.verdict, "witness": self.witness}
         if include_timing:
             out["millis"] = self.millis
         return out
@@ -70,37 +66,31 @@ class Side(NamedTuple):
 
     The C side reads the lattice under inclusion and the D side under
     reverse inclusion, so meet and join, 0 and M, minimal and maximal,
-    second and prime, a low's order and its index trade places.  The
-    callables reach instance and lattice members on every call, never
-    through stored methods, so hooks installed on those classes later
-    still see the calls.  The name fields spell the witness keys, which
-    differ by more than the swapped words.
+    second and prime, a low's order and its index trade places.  What a
+    side's checks read on one instance is read once, by `facts`; the
+    callables that reach instance and lattice members do so when called,
+    never through stored methods, so hooks installed on those classes
+    later still see the calls.  The name fields spell the witness keys,
+    which differ by more than the swapped words.
     """
     graph: GraphKind       # ssi | pss
     tilde: GraphKind       # the ideal graph C14/D14 lifts completeness to
     low: str               # the extremes just off the side's bottom
     high: str              # the extremes just under the side's top
     flag: str              # second | prime
-    core: str              # witness key of core_of
+    core: str              # witness key of the core
     meet_name: str         # intersection | sum
     ideals: str            # witness key of the pair's two ideals
     spanning: str          # witness key of two lows joining to the top
     endpoint: str          # smaller | larger: an edge's end nearer the bottom
-    lows: Callable         # inst -> minimals | maximals
-    highs: Callable        # inst -> maximals | minimals
-    flagged: Callable      # inst -> seconds | primes
-    core_of: Callable      # inst -> second socle | prime radical
+    members: Callable      # inst -> (lows, highs, flagged, core); core None if (co)reduced
     divisor: Callable      # sub -> c with annihilator | colon ideal cZ_n
     meet: Callable         # (lat, a, b) -> meet in the side's order
     below: Callable        # (a, b) -> a strictly below b in the side's order
     low_prime: Callable    # low N -> the prime |N| | |M/N|
-    plain: Callable        # props -> coreduced | reduced
     transfers: Callable    # props -> the C7/D7 premise
     simple_shape: Callable  # props -> uniform | hollow
     lifts: Callable        # props -> the C14/D14 premise
-
-    def metrics(self, inst):
-        return inst.metrics(self.graph)
 
 
 SSI_SIDE = Side(
@@ -108,12 +98,11 @@ SSI_SIDE = Side(
     low="minimal", high="maximal", flag="second", core="second_socle",
     meet_name="intersection", ideals="annihilators",
     spanning="minimal_pair_spanning", endpoint="smaller",
-    lows=lambda inst: inst.lattice.minimals(), highs=lambda inst: inst.lattice.maximals(),
-    flagged=lambda inst: inst.lattice.seconds(), core_of=lambda inst: inst.sec_socle,
+    members=lambda inst, lat: (lat.minimals(), lat.maximals(), lat.seconds(),
+                               None if inst.props.coreduced else inst.sec_socle),
     divisor=lambda sub: sub.exponent,
     meet=lambda lat, a, b: lat.meet(a, b), below=lambda a, b: a < b,
     low_prime=lambda sub: sub.order,
-    plain=lambda props: props.coreduced,
     transfers=lambda props: props.comultiplication,
     simple_shape=lambda props: props.uniform,
     lifts=lambda props: props.strong_comultiplication,
@@ -124,24 +113,47 @@ PSS_SIDE = Side(
     low="maximal", high="minimal", flag="prime", core="prime_radical",
     meet_name="sum", ideals="colon_ideals",
     spanning="maximal_pair_meeting_in_zero", endpoint="larger",
-    lows=lambda inst: inst.lattice.maximals(), highs=lambda inst: inst.lattice.minimals(),
-    flagged=lambda inst: inst.lattice.primes(), core_of=lambda inst: inst.radical,
+    members=lambda inst, lat: (lat.maximals(), lat.minimals(), lat.primes(),
+                               None if inst.props.reduced else inst.radical),
     divisor=lambda sub: sub.quotient_exponent,
     meet=lambda lat, a, b: lat.join(a, b), below=lambda a, b: b < a,
     low_prime=lambda sub: sub.module.order // sub.order,
-    plain=lambda props: props.reduced,
     transfers=lambda props: props.multiplication,
     simple_shape=lambda props: props.hollow,
     lifts=lambda props: props.faithful and props.multiplication,
 )
 
 
+class Facts:
+    """One side's members, graph and metrics on one instance, read once;
+    `core` is None when M is coreduced (reduced).  The `*_bits` fields are
+    vertex bitmasks: the lows and highs are all vertices, the flagged but M or 0."""
+    __slots__ = ("lows", "highs", "flagged", "core", "graph", "metrics",
+                 "low_bits", "high_bits", "flagged_bits")
+
+    def __init__(self, side: Side, inst):
+        self.lows, self.highs, self.flagged, self.core = side.members(inst, inst.lattice)
+        g = self.graph = inst.graph(side.graph)
+        self.metrics = inst.metrics(side.graph)
+        self.low_bits = g.vertex_mask(self.lows)
+        self.high_bits = g.vertex_mask(self.highs)
+        self.flagged_bits = g.vertex_mask(self.flagged)
+
+
+def facts(side: Side, inst) -> Facts:
+    """The side's `Facts` on inst, read on the first call and kept."""
+    got = inst.facts.get(side.flag)
+    if got is None:
+        got = inst.facts[side.flag] = Facts(side, inst)
+    return got
+
+
 def _labels(subs) -> list:
     return [s.label() for s in subs]
 
 
-def _comparable(a, b) -> bool:
-    return a <= b or b <= a
+def _vertex_labels(g, bits: int) -> list:
+    return [g.vertices[i].label for i in bit_positions(bits)]
 
 
 def _always(side, inst):
@@ -149,7 +161,7 @@ def _always(side, inst):
 
 
 def _has_vertices(side, inst):
-    return side.metrics(inst).vertex_count >= 1
+    return facts(side, inst).metrics.vertex_count >= 1
 
 
 def _spanning_pairs(side, inst):
@@ -157,7 +169,7 @@ def _spanning_pairs(side, inst):
     two minimals of prime orders p, p' meet in 0, so they sum to M iff
     |M| = pp', and two maximals of prime indices p, p' sum to M, so they
     meet in 0 iff |M| = pp'."""
-    lows, top = side.lows(inst), inst.lattice.module.order
+    lows, top = facts(side, inst).lows, inst.lattice.module.order
     pairs = combinations(zip(lows, map(side.low_prime, lows)), 2)
     return ((a, b) for (a, p), (b, q) in pairs if p * q == top)
 
@@ -170,7 +182,7 @@ def _spanning_pairs(side, inst):
 # with at most two lows; with three or more, the join of two of them can
 # itself be flagged and universal without either shape holding.
 def _few_lows_condition(side, inst):
-    lows = side.lows(inst)
+    lows = facts(side, inst).lows
     if len(lows) == 1:
         return f"unique-{side.low}"
     # Two lows of one prime p would span a Z_p x Z_p, which holds p + 1 of
@@ -186,18 +198,17 @@ def _few_lows_condition(side, inst):
 # ---------------------------------------------------------------- C1/D1
 
 def _applies_1(side, inst):
-    return len(side.lows(inst)) <= 2
+    return len(facts(side, inst).lows) <= 2
 
 
 def _claim_1(side, inst):
     cond = _few_lows_condition(side, inst)
-    m = side.metrics(inst)
-    if (len(m.universal_vertices) > 0) == (cond is not None):
+    f = facts(side, inst)
+    if (len(f.metrics.universal_vertices) > 0) == (cond is not None):
         return True, None
-    g = inst.graph(side.graph)
     return False, {
-        "universal_vertices": [g.vertices[i].label for i in m.universal_vertices],
-        f"{side.low}s": _labels(side.lows(inst)),
+        "universal_vertices": [f.graph.vertices[i].label for i in f.metrics.universal_vertices],
+        f"{side.low}s": _labels(f.lows),
         "condition": cond,
     }
 
@@ -205,89 +216,86 @@ def _claim_1(side, inst):
 # ---------------------------------------------------------------- C2/D2
 
 def _applies_2(side, inst):
-    return not side.plain(inst.props)
+    return facts(side, inst).core is not None
 
 
 def _claim_2(side, inst):
-    # exp(M) is not q, so M[q] and qM are proper and nonzero: a vertex
-    core = side.core_of(inst)
-    g = inst.graph(side.graph)
-    vi = g.vertex_for(core).index
-    missed = [s.label() for s in side.flagged(inst)
-              if s != core and not g.adjacent(vi, g.vertex_for(s).index)]
+    # exp(M) is not q, so M[q] and qM are proper and nonzero: a vertex, and
+    # every flagged member is one
+    f = facts(side, inst)
+    vi = f.graph.vertex_for(f.core).index
+    missed = f.flagged_bits & ~f.graph.rows[vi] & ~(1 << vi)
     if missed:
-        return False, {side.core: core.label(), "non_neighbors": missed}
+        return False, {side.core: f.core.label(),
+                       "non_neighbors": _vertex_labels(f.graph, missed)}
     return True, None
 
 
 # ---------------------------------------------------------------- C3/D3
 
 def _applies_3(side, inst):
-    return (not side.plain(inst.props)
-            and tuple(side.lows(inst)) == (side.core_of(inst),))
+    f = facts(side, inst)
+    return f.core is not None and f.lows == (f.core,)
 
 
 def _claim_3(side, inst):
-    m = side.metrics(inst)
-    g = inst.graph(side.graph)
-    core = side.core_of(inst)
-    vi = g.vertex_for(core).index
-    if vi in m.universal_vertices:
+    f = facts(side, inst)
+    vi = f.graph.vertex_for(f.core).index
+    if vi in f.metrics.universal_vertices:
         return True, None
-    return False, {side.core: core.label(),
-                   "degree": g.degree(vi), "vertex_count": m.vertex_count}
+    return False, {side.core: f.core.label(),
+                   "degree": f.graph.degree(vi), "vertex_count": f.metrics.vertex_count}
 
 
 # ---------------------------------------------------------------- C4/D4
 
 def _claim_4(side, inst):
-    g = inst.graph(side.graph)
-    lows, highs = set(side.lows(inst)), set(side.highs(inst))
-    for v in g.vertices:
-        isolated = g.degree(v.index) == 0
-        both = v.submodule in lows and v.submodule in highs
-        if isolated != both:
-            return False, {"vertex": v.label, "isolated": isolated,
-                           f"{side.low}_and_{side.high}": both}
-    return True, None
+    f = facts(side, inst)
+    isolated = sum(1 << i for i, row in enumerate(f.graph.rows) if not row)
+    both = f.low_bits & f.high_bits
+    if isolated == both:
+        return True, None
+    i = ((isolated ^ both) & -(isolated ^ both)).bit_length() - 1
+    return False, {"vertex": f.graph.vertices[i].label, "isolated": bool(isolated >> i & 1),
+                   f"{side.low}_and_{side.high}": bool(both >> i & 1)}
 
 
 # ---------------------------------------------------------------- C5/D5
 
 def _applies_5(side, inst):
-    m = side.metrics(inst)
+    m = facts(side, inst).metrics
     return m.vertex_count >= 1 and m.is_complete
 
 
 def _claim_5(side, inst):
-    lows = side.lows(inst)
-    if len(lows) != 1:
-        return False, {f"{side.low}s": _labels(lows)}
-    flagged, highs = set(side.flagged(inst)), set(side.highs(inst))
-    stray = [s.label() for s in inst.lattice.proper_nonzero()
-             if s not in flagged and s not in highs]
+    f = facts(side, inst)
+    if len(f.lows) != 1:
+        return False, {f"{side.low}s": _labels(f.lows)}
+    stray = (1 << f.metrics.vertex_count) - 1 & ~f.flagged_bits & ~f.high_bits
     if stray:
-        return False, {f"neither_{side.flag}_nor_{side.high}": stray}
+        return False, {f"neither_{side.flag}_nor_{side.high}": _vertex_labels(f.graph, stray)}
     return True, None
 
 
 # ---------------------------------------------------------------- C6/D6
 
 def _applies_6(side, inst):
-    return len(side.lows(inst)) == 1
+    return len(facts(side, inst).lows) == 1
 
 
 def _claim_6(side, inst):
-    g = inst.graph(side.graph)
-    lat = inst.lattice
-    vs = lat.proper_nonzero()
-    for i, j in combinations(range(len(vs)), 2):
-        if not g.adjacent(i, j):
-            meet = side.meet(lat, vs[i], vs[j])
+    f = facts(side, inst)
+    full = (1 << f.metrics.vertex_count) - 1
+    for i, row in enumerate(f.graph.rows):
+        missed = full & ~row >> i + 1 << i + 1
+        if missed:
+            a = f.graph.vertices[i].submodule
+            b = f.graph.vertices[(missed & -missed).bit_length() - 1].submodule
+            meet = side.meet(inst.lattice, a, b)
             return False, {
-                "pair": [vs[i].label(), vs[j].label()],
+                "pair": [a.label(), b.label()],
                 side.meet_name: meet.label(),
-                f"{side.meet_name}_{side.flag}": meet in side.flagged(inst),
+                f"{side.meet_name}_{side.flag}": meet in f.flagged,
             }
     return True, None
 
@@ -302,9 +310,11 @@ def _claim_7(side, inst):
     # The ideal of a member is cZ_n for its divisor c | n: the zero ideal is
     # c = n, and cZ_n + dZ_n = gcd(c, d)Z_n, so the pair premise is a test
     # on divisors, and the two ideals are adjacent in PIS(Z_n) iff their
-    # sum's divisor gcd(c, d) is a prime.
+    # sum's divisor gcd(c, d) is a prime.  The conclusion is compared
+    # first, so the premise's meet (join) is taken only for a pair that
+    # would fail.
     lat, n = inst.lattice, inst.ring.modulus
-    g = inst.graph(side.graph)
+    g = facts(side, inst).graph
     vs = lat.proper_nonzero()
     cs = [side.divisor(s) for s in vs]
     for i, j in combinations(range(len(vs)), 2):
@@ -312,25 +322,24 @@ def _claim_7(side, inst):
         if c == n or d == n or c == d:
             continue
         e = gcd(c, d)
-        if side.divisor(side.meet(lat, vs[i], vs[j])) != e:
-            continue
         lhs = g.adjacent(i, j)
         rhs = _is_prime(e)
-        if lhs != rhs:
-            rlat = inst.ring_lattice
-            return False, {
-                "pair": [vs[i].label(), vs[j].label()],
-                side.ideals: [rlat.ideal(c).label("R"), rlat.ideal(d).label("R")],
-                f"{side.meet_name}_{side.flag}": lhs,
-                "ideal_sum_prime": rhs,
-            }
+        if lhs == rhs or side.divisor(side.meet(lat, vs[i], vs[j])) != e:
+            continue
+        rlat = inst.ring_lattice
+        return False, {
+            "pair": [vs[i].label(), vs[j].label()],
+            side.ideals: [rlat.ideal(c).label("R"), rlat.ideal(d).label("R")],
+            f"{side.meet_name}_{side.flag}": lhs,
+            "ideal_sum_prime": rhs,
+        }
     return True, None
 
 
 # ---------------------------------------------------------------- C8/D8
 
 def _claim_8(side, inst):
-    m = side.metrics(inst)
+    m = facts(side, inst).metrics
     spanning = next((_labels(pair) for pair in _spanning_pairs(side, inst)), None)
     if m.is_connected == (spanning is None) and not (
             m.is_connected and m.diameter > 2):
@@ -343,7 +352,8 @@ def _claim_8(side, inst):
 # ---------------------------------------------------------------- C9/D9
 
 def _c9_applies(inst):
-    return inst.metrics(GraphKind.SSI).is_connected and len(inst.lattice.maximals()) >= 2
+    f = facts(SSI_SIDE, inst)
+    return f.metrics.is_connected and len(f.highs) >= 2
 
 
 def _c9_claim(inst):
@@ -353,69 +363,60 @@ def _c9_claim(inst):
 
 
 def _d9_applies(inst):
-    return inst.metrics(GraphKind.PSS).is_connected
+    return facts(PSS_SIDE, inst).metrics.is_connected
 
 
 def _d9_claim(inst):
-    pairs = comb(len(inst.lattice.minimals()), 2)
+    pairs = comb(len(facts(SSI_SIDE, inst).lows), 2)
     spans = sum(1 for _ in _spanning_pairs(SSI_SIDE, inst))
     literal = spans == pairs
-    witness = {"minimal_pairs": pairs,
-               "every_pair_spans": literal,
-               "no_pair_spans": spans == 0}
-    return literal, witness
+    return literal, {"minimal_pairs": pairs, "every_pair_spans": literal,
+                     "no_pair_spans": spans == 0}
 
 
 # -------------------------------------------------------------- C10/D10
 
 def _applies_10(side, inst):
-    return side.metrics(inst).edge_count >= 1
+    return facts(side, inst).metrics.edge_count >= 1
 
 
 def _claim_10(side, inst):
-    m = side.metrics(inst)
-    if m.girth == 3:  # a triangle answers both branches below
+    f = facts(side, inst)
+    if f.metrics.girth == 3:  # a triangle answers both branches below
         return True, None
-    g = inst.graph(side.graph)
     vs = inst.lattice.proper_nonzero()
-    noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in g.iter_edges()
-                          if not _comparable(vs[i], vs[j])), None)
+    noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in f.graph.iter_edges()
+                          if vs[i].mask & vs[j].mask not in (vs[i].mask, vs[j].mask)), None)
     if noncomparable is not None:
         return False, {"noncomparable_edge": noncomparable,
-                       "girth": None if m.girth == inf else m.girth}
+                       "girth": None if f.metrics.girth == inf else f.metrics.girth}
     # every edge is comparable here; its end nearer the bottom is checked
-    flagged = set(side.flagged(inst))
-    for i, j in g.iter_edges():
-        end = vs[i] if side.below(vs[i], vs[j]) else vs[j]
-        if end not in flagged:
+    for i, j in f.graph.iter_edges():
+        end = i if side.below(vs[i], vs[j]) else j
+        if not f.flagged_bits >> end & 1:
             return False, {"edge": [vs[i].label(), vs[j].label()],
-                           f"{side.endpoint}_endpoint": end.label(),
+                           f"{side.endpoint}_endpoint": vs[end].label(),
                            f"{side.endpoint}_endpoint_{side.flag}": False}
     return True, None
 
 
-# -------------------------------------------------------------- C11/D11
+# ------------------------------------------------------- C11/D11, C12/D12
 
 def _applies_11(side, inst):
-    return side.metrics(inst).girth != inf
+    return facts(side, inst).metrics.girth != inf
 
 
-def _claim_11(side, inst):
-    girth = side.metrics(inst).girth
-    count = len(side.flagged(inst))
-    if count >= girth // 2:
+def _girth_claim(side, inst, *, half: bool):
+    # C11: count >= girth // 2 for a finite girth; C12: girth <= 2 count
+    f = facts(side, inst)
+    girth, count = f.metrics.girth, len(f.flagged)
+    if girth == inf or (count >= girth // 2 if half else girth <= 2 * count):
         return True, None
     return False, {"girth": girth, f"{side.flag}_count": count}
 
 
-# -------------------------------------------------------------- C12/D12
-
-def _claim_12(side, inst):
-    girth = side.metrics(inst).girth
-    count = len(side.flagged(inst))
-    if girth == inf or girth <= 2 * count:
-        return True, None
-    return False, {"girth": girth, f"{side.flag}_count": count}
+_claim_11 = partial(_girth_claim, half=True)
+_claim_12 = partial(_girth_claim, half=False)
 
 
 # -------------------------------------------------------------- C13/D13
@@ -430,19 +431,20 @@ def _complete(g):
 def _applies_13(side, inst):
     # the bottom is never flagged, so every other member is when the
     # flagged ones number all but one
+    f = facts(side, inst)
     return (side.simple_shape(inst.props)
-            and len(side.flagged(inst)) == len(inst.lattice) - 1
-            and side.metrics(inst).vertex_count >= 2)
+            and len(f.flagged) == len(inst.lattice) - 1
+            and f.metrics.vertex_count >= 2)
 
 
 def _claim_13(side, inst):
-    return _complete(inst.graph(side.graph))
+    return _complete(facts(side, inst).graph)
 
 
 # -------------------------------------------------------------- C14/D14
 
 def _applies_14(side, inst):
-    return side.lifts(inst.props) and side.metrics(inst).is_complete
+    return side.lifts(inst.props) and facts(side, inst).metrics.is_complete
 
 
 def _claim_14(side, inst):
@@ -455,25 +457,24 @@ def _claim_15(side, inst):
     # Past the first two tests the lows are an irredundant dominating set,
     # so the domination number is at most their count; with at most two of
     # them it is 1 iff some vertex is universal, and their count otherwise.
-    g = inst.graph(side.graph)
-    lows = side.lows(inst)
-    closed = {i: g.rows[i] | 1 << i for i in sorted(g.vertex_for(s).index for s in lows)}
+    f = facts(side, inst)
+    closed = {i: f.graph.rows[i] | 1 << i for i in bit_positions(f.low_bits)}
     covered = twice = 0
     for row in closed.values():
         twice |= covered & row
         covered |= row
-    if covered != (1 << g.vertex_count) - 1:
-        return False, {f"{side.low}s": _labels(lows), "reason": "do not dominate"}
+    if covered != (1 << f.metrics.vertex_count) - 1:
+        return False, {f"{side.low}s": _labels(f.lows), "reason": "do not dominate"}
     # the rest still dominate without a low iff every vertex its closed
     # row covers is covered twice
     for i, row in closed.items():
         if not row & ~twice:
-            return False, {"redundant_member": g.vertices[i].label}
-    if len(lows) <= 2:
+            return False, {"redundant_member": f.graph.vertices[i].label}
+    if len(f.lows) <= 2:
         cond = _few_lows_condition(side, inst)
-        universal = bool(side.metrics(inst).universal_vertices)
+        universal = bool(f.metrics.universal_vertices)
         if universal != (cond is not None):
-            return False, {"domination_number": 1 if universal else len(lows),
+            return False, {"domination_number": 1 if universal else len(f.lows),
                            "condition": cond}
     return True, None
 
@@ -485,126 +486,96 @@ def _sided(cid, name, mode, applies, claim, notes):
 
 
 CHECKS: tuple[Check, ...] = (
-    _sided("C1", "ssi-universal-vertex-from-few-minimals", STRICT,
-           _applies_1, _claim_1,
+    _sided("C1", "ssi-universal-vertex-from-few-minimals", STRICT, _applies_1, _claim_1,
            "with at most two minimal submodules, a universal vertex exists "
            "exactly when the unique-minimal or paired-minimal shape holds"),
-    _sided("C2", "ssi-second-socle-neighbors-all-seconds", STRICT,
-           _applies_2, _claim_2,
+    _sided("C2", "ssi-second-socle-neighbors-all-seconds", STRICT, _applies_2, _claim_2,
            "when some d*M collapses under squaring, the sum of all second "
            "submodules is a vertex adjacent to every other second"),
-    _sided("C3", "ssi-minimal-second-socle-is-universal", STRICT,
-           _applies_3, _claim_3,
+    _sided("C3", "ssi-minimal-second-socle-is-universal", STRICT, _applies_3, _claim_3,
            "if the second socle is the unique minimal submodule it is "
            "universal; the converse is false (e.g. Z12), so only this "
            "direction is claimed"),
-    _sided("C4", "ssi-isolated-iff-minimal-and-maximal", STRICT,
-           _has_vertices, _claim_4,
+    _sided("C4", "ssi-isolated-iff-minimal-and-maximal", STRICT, _has_vertices, _claim_4,
            "a vertex is isolated exactly when it is both minimal and maximal"),
-    _sided("C5", "ssi-complete-forces-unique-minimal", STRICT,
-           _applies_5, _claim_5,
+    _sided("C5", "ssi-complete-forces-unique-minimal", STRICT, _applies_5, _claim_5,
            "a complete intersection graph forces one minimal submodule and "
            "makes every non-second vertex maximal"),
-    _sided("C6", "ssi-unique-minimal-completeness", REPORT,
-           _applies_6, _claim_6,
+    _sided("C6", "ssi-unique-minimal-completeness", REPORT, _applies_6, _claim_6,
            "one minimal submodule does not force completeness: Z16 has the "
            "non-adjacent pair (2M, 4M); recorded as a finding"),
-    _sided("C7", "ssi-matches-ideal-graph-for-comultiplication", STRICT,
-           _applies_7, _claim_7,
+    _sided("C7", "ssi-matches-ideal-graph-for-comultiplication", STRICT, _applies_7, _claim_7,
            "for comultiplication modules, adjacency transfers to the "
            "annihilator ideals whenever those are nonzero, distinct, and "
            "the annihilator of the intersection is their sum"),
-    _sided("C8", "ssi-connectivity-and-diameter", STRICT,
-           _always, _claim_8,
+    _sided("C8", "ssi-connectivity-and-diameter", STRICT, _always, _claim_8,
            "connected exactly when no two minimals sum to M, and then the "
            "diameter is at most 2"),
-    Check("C9", "ssi-connected-maximals-intersect", STRICT,
-          _c9_applies, _c9_claim,
+    Check("C9", "ssi-connected-maximals-intersect", STRICT, _c9_applies, _c9_claim,
           "in a connected graph any two maximal submodules intersect "
           "beyond zero"),
-    _sided("C10", "ssi-girth-three-or-comparable-edges", STRICT,
-           _applies_10, _claim_10,
+    _sided("C10", "ssi-girth-three-or-comparable-edges", STRICT, _applies_10, _claim_10,
            "one non-comparable edge forces a triangle; otherwise every edge "
            "is a chain step whose lower end is second"),
-    _sided("C11", "ssi-seconds-at-least-half-girth", STRICT,
-           _applies_11, _claim_11,
+    _sided("C11", "ssi-seconds-at-least-half-girth", STRICT, _applies_11, _claim_11,
            "a finite girth needs at least girth/2 second submodules"),
-    _sided("C12", "ssi-girth-at-most-twice-seconds", STRICT,
-           _has_vertices, _claim_12,
+    _sided("C12", "ssi-girth-at-most-twice-seconds", STRICT, _has_vertices, _claim_12,
            "the girth is infinite or bounded by twice the number of seconds"),
-    _sided("C13", "ssi-uniform-all-second-complete", STRICT,
-           _applies_13, _claim_13,
+    _sided("C13", "ssi-uniform-all-second-complete", STRICT, _applies_13, _claim_13,
            "uniform modules all of whose nonzero submodules are second have "
            "complete graphs; no finite module qualifies (uniform and all "
            "second force M = Z_p, which has no vertex)"),
-    _sided("C14", "ssi-complete-lifts-to-colon-ideal-graph", STRICT,
-           _applies_14, _claim_14,
+    _sided("C14", "ssi-complete-lifts-to-colon-ideal-graph", STRICT, _applies_14, _claim_14,
            "for strong comultiplication modules a complete intersection "
            "graph forces a complete colon-ideal graph"),
-    _sided("C15", "ssi-minimals-dominate", STRICT,
-           _has_vertices, _claim_15,
+    _sided("C15", "ssi-minimals-dominate", STRICT, _has_vertices, _claim_15,
            "the minimal submodules are an irredundant dominating set and "
            "bound the domination number; with at most two of them the "
            "domination number is 1 exactly under the universal-vertex shape"),
-    _sided("D1", "pss-universal-vertex-from-few-maximals", STRICT,
-           _applies_1, _claim_1,
+    _sided("D1", "pss-universal-vertex-from-few-maximals", STRICT, _applies_1, _claim_1,
            "with at most two maximal submodules, a universal vertex exists "
            "exactly when the unique-maximal or paired-maximal shape holds"),
-    _sided("D2", "pss-radical-neighbors-all-primes", STRICT,
-           _applies_2, _claim_2,
+    _sided("D2", "pss-radical-neighbors-all-primes", STRICT, _applies_2, _claim_2,
            "when some r*x dies against r*M, the intersection of all primes "
            "is a vertex adjacent to every other prime"),
-    _sided("D3", "pss-maximal-radical-is-universal", STRICT,
-           _applies_3, _claim_3,
+    _sided("D3", "pss-maximal-radical-is-universal", STRICT, _applies_3, _claim_3,
            "if the prime radical is the unique maximal submodule it is "
            "universal; the converse is false (e.g. Z12), so only this "
            "direction is claimed"),
-    _sided("D4", "pss-isolated-iff-maximal-and-minimal", STRICT,
-           _has_vertices, _claim_4,
+    _sided("D4", "pss-isolated-iff-maximal-and-minimal", STRICT, _has_vertices, _claim_4,
            "a vertex is isolated exactly when it is both maximal and minimal"),
-    _sided("D5", "pss-complete-forces-unique-maximal", STRICT,
-           _applies_5, _claim_5,
+    _sided("D5", "pss-complete-forces-unique-maximal", STRICT, _applies_5, _claim_5,
            "a complete sum graph forces one maximal submodule and makes "
            "every non-prime vertex minimal"),
-    _sided("D6", "pss-unique-maximal-completeness", REPORT,
-           _applies_6, _claim_6,
+    _sided("D6", "pss-unique-maximal-completeness", REPORT, _applies_6, _claim_6,
            "one maximal submodule does not force completeness: Z16 has the "
            "non-adjacent pair (4M, 8M); recorded as a finding"),
-    _sided("D7", "pss-matches-ideal-graph-for-multiplication", STRICT,
-           _applies_7, _claim_7,
+    _sided("D7", "pss-matches-ideal-graph-for-multiplication", STRICT, _applies_7, _claim_7,
            "for multiplication modules, adjacency transfers to the colon "
            "ideals whenever those are nonzero, distinct, and the colon of "
            "the sum is their sum"),
-    _sided("D8", "pss-connectivity-and-diameter", STRICT,
-           _always, _claim_8,
+    _sided("D8", "pss-connectivity-and-diameter", STRICT, _always, _claim_8,
            "connected exactly when no two maximals meet in zero, and then "
            "the diameter is at most 2"),
-    Check("D9", "pss-connected-minimal-pairs-span", REPORT,
-          _d9_applies, _d9_claim,
+    Check("D9", "pss-connected-minimal-pairs-span", REPORT, _d9_applies, _d9_claim,
           "read literally, connectivity should make every pair of distinct "
           "minimals sum to M; both this and its negation are recorded, and "
           "the negation is what the connectivity argument actually uses"),
-    _sided("D10", "pss-girth-three-or-comparable-edges", STRICT,
-           _applies_10, _claim_10,
+    _sided("D10", "pss-girth-three-or-comparable-edges", STRICT, _applies_10, _claim_10,
            "one non-comparable edge forces a triangle; otherwise every edge "
            "is a chain step whose upper end is prime"),
-    _sided("D11", "pss-primes-at-least-half-girth", STRICT,
-           _applies_11, _claim_11,
+    _sided("D11", "pss-primes-at-least-half-girth", STRICT, _applies_11, _claim_11,
            "a finite girth needs at least girth/2 prime submodules"),
-    _sided("D12", "pss-girth-at-most-twice-primes", STRICT,
-           _has_vertices, _claim_12,
+    _sided("D12", "pss-girth-at-most-twice-primes", STRICT, _has_vertices, _claim_12,
            "the girth is infinite or bounded by twice the number of primes"),
-    _sided("D13", "pss-hollow-all-prime-complete", STRICT,
-           _applies_13, _claim_13,
+    _sided("D13", "pss-hollow-all-prime-complete", STRICT, _applies_13, _claim_13,
            "hollow modules all of whose proper submodules are prime have "
            "complete graphs; no finite module qualifies (hollow and all "
            "prime force M = Z_p, which has no vertex)"),
-    _sided("D14", "pss-complete-lifts-to-annihilator-graph", STRICT,
-           _applies_14, _claim_14,
+    _sided("D14", "pss-complete-lifts-to-annihilator-graph", STRICT, _applies_14, _claim_14,
            "for faithful multiplication modules a complete sum graph forces "
            "a complete annihilator-ideal graph"),
-    _sided("D15", "pss-maximals-dominate", STRICT,
-           _has_vertices, _claim_15,
+    _sided("D15", "pss-maximals-dominate", STRICT, _has_vertices, _claim_15,
            "the maximal submodules are an irredundant dominating set and "
            "bound the domination number; with at most two of them the "
            "domination number is 1 exactly under the universal-vertex shape"),

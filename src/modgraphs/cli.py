@@ -122,18 +122,10 @@ def _cmd_classify(args) -> int:
     rows = []
     for s in lat.all:
         flags = lat.flags(s)
-        rows.append({
-            "label": s.label(),
-            "order": s.order,
-            "minimal": flags.is_minimal,
-            "maximal": flags.is_maximal,
-            "second": flags.is_second,
-            "prime": flags.is_prime,
-            "large": flags.is_large,
-            "small": flags.is_small,
-            "annihilator": inst.ann_ideal(s).label("R"),
-            "colon": inst.colon_of(s).label("R"),
-        })
+        rows.append({"label": s.label(), "order": s.order,
+                     **{name: getattr(flags, f"is_{name}") for name in _FLAG_NAMES},
+                     "annihilator": inst.ann_ideal(s).label("R"),
+                     "colon": inst.colon_of(s).label("R")})
     if args.format == "json":
         payload = {
             "ring": module.ring.descriptor,

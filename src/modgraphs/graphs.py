@@ -44,6 +44,7 @@ from .algebra import (
     SubmoduleLattice,
     _format_element,
     _is_prime,
+    _same_module,
     bit_positions,
     module_lattice,
 )
@@ -94,7 +95,7 @@ class SimpleGraph:
         self.module = module
         self.vertices = vertices
         self.rows = rows
-        self._vertex_index = {v.submodule: v.index for v in vertices}
+        self._vertex_index = {v.submodule.mask: v.index for v in vertices}
 
     @property
     def vertex_count(self) -> int:
@@ -122,10 +123,16 @@ class SimpleGraph:
 
     def vertex_for(self, sub: Submodule) -> GraphVertex:
         """The vertex carrying this submodule (or this ideal)."""
-        try:
-            return self.vertices[self._vertex_index[sub]]
-        except KeyError:
-            raise ValueError(f"{sub!r} is not a vertex of this graph") from None
+        i = self._vertex_index.get(sub.mask)
+        if i is None or not _same_module(sub.module, self.vertices[i].submodule.module):
+            raise ValueError(f"{sub!r} is not a vertex of this graph")
+        return self.vertices[i]
+
+    def vertex_mask(self, subs) -> int:
+        """The bitmask of the vertices carrying members of subs, which come
+        from the lattice the graph was built on; the others are skipped."""
+        index = self._vertex_index
+        return sum(1 << index[s.mask] for s in subs if s.mask in index)
 
     def __repr__(self):
         return (f"SimpleGraph({self.kind}, {self.module.descriptor}, "

@@ -49,7 +49,8 @@ DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
 class Instance:
     """One module under test, with memoized lattice, graphs and metrics;
-    the socle and radical are read off the lattice on each access."""
+    the socle and radical are read off the lattice on each access, and
+    `facts` holds what the checks read once per side (`checks.facts`)."""
 
     def __init__(self, module: FiniteModule, *,
                  max_order: int = MAX_MODULE_ORDER,
@@ -61,6 +62,7 @@ class Instance:
         self._lattice = None
         self._graphs = {}
         self._metrics = {}
+        self.facts = {}
         self.descriptor = module.descriptor
         if self.ring.modulus != lcm(*module.invariant_factors):
             self.descriptor += f"/{self.ring.descriptor}"
@@ -215,6 +217,13 @@ def select_checks(selection: str):
     return [c for c in CHECKS if c.id in wanted]
 
 
+class _Encoded(dict):
+    """JSON string literals, each distinct string encoded on first lookup."""
+    def __missing__(self, text):
+        got = self[text] = encode_basestring_ascii(text)
+        return got
+
+
 class CheckReport:
     """The results of one suite run, in evaluation order."""
     __slots__ = ("suite", "family", "results", "include_timing")
@@ -229,10 +238,7 @@ class CheckReport:
     def summary(self) -> dict:
         counts = {"pass": 0, "fail": 0, "findings": 0, "not_applicable": 0}
         for r in self.results:
-            if r.verdict == "finding":
-                counts["findings"] += 1
-            else:
-                counts[r.verdict] += 1
+            counts["findings" if r.verdict == "finding" else r.verdict] += 1
         return counts
 
     def failures(self) -> list[CheckResult]:
@@ -252,8 +258,8 @@ class CheckReport:
     def to_json(self) -> str:
         # json.dumps(self.as_dict(), indent=2) + "\n", written from the fixed
         # shape as one list of pieces joined once
-        enc = encode_basestring_ascii
-        parts = [f'{{\n  "suite": {enc(self.suite)},\n  "family": {enc(self.family)},\n'
+        enc = _Encoded()
+        parts = [f'{{\n  "suite": {enc[self.suite]},\n  "family": {enc[self.family]},\n'
                  '  "results": ']
         sep = "[\n    "
         for r in self.results:
@@ -262,8 +268,8 @@ class CheckReport:
             if self.include_timing:
                 w += ',\n      "millis": ' + ("null" if r.millis is None
                                               else float.__repr__(r.millis))
-            parts.append(f'{sep}{{\n      "check": {enc(r.check_id)},\n      "instance": '
-                         f'{enc(r.instance)},\n      "verdict": {enc(r.verdict)},\n'
+            parts.append(f'{sep}{{\n      "check": {enc[r.check_id]},\n      "instance": '
+                         f'{enc[r.instance]},\n      "verdict": {enc[r.verdict]},\n'
                          f'      "witness": {w}\n    }}')
             sep = ",\n    "
         summary = json.dumps(self.summary(), indent=2).replace("\n", "\n  ")
@@ -292,6 +298,7 @@ def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,
         for check in selected:
             start = time.perf_counter()
             result = evaluate_check(check, inst)
-            result.millis = round((time.perf_counter() - start) * 1000, 3)
+            # milliseconds to the microsecond; round(x, 3) costs several times more
+            result.millis = round((time.perf_counter() - start) * 1e6) / 1000
             report.results.append(result)
     return report

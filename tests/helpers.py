@@ -18,7 +18,7 @@ search the package's claim does without.
 import json
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
-from math import gcd, inf, lcm
+from math import comb, gcd, inf, lcm
 
 from modgraphs import domination_number
 
@@ -191,7 +191,10 @@ def p_subgroups(factors, p):
 
 
 def gaussian_binomial(p, k, j):
-    """[k:j]_p, the number of j-dimensional subspaces of F_p^k."""
+    """[k:j]_p, the number of j-dimensional subspaces of F_p^k (0 unless
+    0 <= j <= k)."""
+    if not 0 <= j <= k:
+        return 0
     num = den = 1
     for i in range(j):
         num *= p ** (k - i) - 1
@@ -202,6 +205,18 @@ def gaussian_binomial(p, k, j):
 def gaussian_subspace_total(p, k):
     """All subspaces of F_p^k: the sum of [k:j]_p over j = 0..k."""
     return sum(gaussian_binomial(p, k, j) for j in range(k + 1))
+
+
+def vector_space_edge_count(p, k):
+    """The edges of SSI(F_p^k), and of PSS(F_p^k): every pair of the V
+    proper nonzero subspaces but those meeting in 0 (for PSS: summing to
+    M).  A subspace of dimension a meets [k-a:b]_p p^(ab) subspaces of
+    dimension b in 0, so E = C(V, 2) - 1/2 sum_{a,b >= 1, a+b <= k}
+    [k:a]_p [k-a:b]_p p^(ab)."""
+    v = sum(gaussian_binomial(p, k, j) for j in range(1, k))
+    apart = sum(gaussian_binomial(p, k, a) * gaussian_binomial(p, k - a, b) * p ** (a * b)
+                for a in range(1, k) for b in range(1, k - a + 1))
+    return comb(v, 2) - apart // 2
 
 
 # ---- brute-force flags on package objects (raw loops, no lattice flags)

@@ -7,9 +7,9 @@ import pytest
 import helpers
 from conftest import make_instance
 from modgraphs import (CHECKS, CHECKS_BY_ID, DEFAULT_FAMILY, GraphKind, Instance,
-                       SimpleGraph, SubmoduleLattice, domination_number, evaluate_check,
-                       generate_family, graph_metrics, graphs, run_suite)
-from modgraphs.checks import PSS_SIDE, REPORT, SSI_SIDE, STRICT, Check
+                       SimpleGraph, SubmoduleLattice, checks, domination_number,
+                       evaluate_check, generate_family, graph_metrics, graphs, run_suite)
+from modgraphs.checks import PSS_SIDE, REPORT, SSI_SIDE, STRICT, Check, facts
 from modgraphs.harness import CheckReport
 
 
@@ -240,12 +240,12 @@ class _NoScan(tuple):
 @pytest.mark.parametrize("family", [DEFAULT_FAMILY, LADDER_FAMILY])
 def test_lattice_premises_take_no_join_meet_or_member_scan(family, monkeypatch):
     # two lows joining to the top and the two-lows shape are read off the
-    # lows' prime orders; the graphs, metrics and lows are built first
+    # lows' prime orders; each side's facts (graph, metrics, lows, ...) are
+    # read first
     insts = generate_family(family)
     for inst in insts:
         for side in (SSI_SIDE, PSS_SIDE):
-            side.metrics(inst)
-            side.lows(inst)
+            facts(side, inst)
 
     def refuse(self, a, b):
         raise AssertionError("lattice join or meet taken")
@@ -256,6 +256,32 @@ def test_lattice_premises_take_no_join_meet_or_member_scan(family, monkeypatch):
         monkeypatch.setattr(inst.lattice, "all", _NoScan(inst.lattice.all))
         for cid in ("C1", "D1", "C8", "D8", "C9", "D9", "C15", "D15"):
             assert evaluate_check(CHECKS_BY_ID[cid], inst).verdict != "fail", (cid, inst)
+
+
+def test_joins_and_meets_are_taken_only_for_witnesses(monkeypatch):
+    # C7/D7 compare adjacency with "gcd(c, d) is a prime" before the pair
+    # premise, so over the default family a lattice join or meet is taken
+    # only where a C6/D6/C7/D7 failure witness names one
+    calls = []
+    for op in ("join", "meet"):
+        def counted(self, a, b, op=op, real=getattr(SubmoduleLattice, op)):
+            calls.append(op)
+            return real(self, a, b)
+        monkeypatch.setattr(SubmoduleLattice, op, counted)
+    taken = []
+
+    def evaluate(check, inst):
+        before = len(calls)
+        result = evaluate_check(check, inst)
+        if len(calls) > before:
+            taken.append((check.id, result.verdict, tuple(calls[before:])))
+        return result
+
+    monkeypatch.setattr(checks, "evaluate_check", evaluate)
+    run_suite(DEFAULT_FAMILY, "all")
+    assert taken and all(cid in ("C6", "D6", "C7", "D7") and verdict in ("fail", "finding")
+                         for cid, verdict, _ops in taken), taken
+    assert sorted(calls) == ["join", "join", "meet", "meet"]
 
 
 # ----------------------------------------- failure witnesses, pinned exactly

@@ -140,6 +140,20 @@ def test_submodules_of_another_module_are_never_found():
         g.vertex_for(foreign)
 
 
+def test_vertex_index_by_mask_keeps_its_module_check():
+    # 2M of Z4 and <(1,0)> of Z2xZ2 over Z2 both have mask 0b101; the
+    # vertices are indexed by mask, and the module check tells them apart
+    _, z4 = parse_descriptor("Z4")
+    _, plane = parse_descriptor("Z2xZ2", "Z2")
+    two_m, line = span(z4, [(2,)]), span(plane, [(1, 0)])
+    assert two_m.mask == line.mask == 0b101
+    g = build_graph("ssi", z4)
+    assert g.vertex_for(two_m).submodule == two_m
+    assert g.vertex_mask([two_m]) == 1
+    with pytest.raises(ValueError):
+        g.vertex_for(line)
+
+
 def test_neighbors_and_degrees(z12):
     g = z12.graph(GraphKind.SSI)
     assert helpers.neighbors(g, 0) == {1, 2, 3}
@@ -381,6 +395,30 @@ DUALITY_FAMILY = ",".join([DEFAULT_FAMILY] + [
     f"zmod:{m}" for m in ("Z16xZ16", "Z4xZ4xZ4", "Z5xZ5xZ5/Z5", "Z2xZ4xZ8",
                           "Z2xZ2xZ2xZ2/Z2", "Z2xZ2xZ2xZ2xZ2/Z2", "Z3xZ3xZ3xZ3/Z3",
                           "Z3xZ3xZ3xZ3xZ3/Z3")])
+
+
+def test_gaussian_binomial_is_an_int_zero_past_k():
+    assert helpers.gaussian_binomial(2, 3, 4) == 0
+    assert type(helpers.gaussian_binomial(2, 3, 4)) is int
+    assert helpers.gaussian_binomial(3, 2, -1) == 0
+
+
+@pytest.mark.parametrize("p,k,edges", [(2, 4, 1155), (3, 3, 130), (2, 5, 41385),
+                                       (5, 3, 651), (2, 6, 2499840), (3, 5, 1733325),
+                                       (5, 4, 220038)])
+def test_vector_space_edge_count_closed_form(p, k, edges):
+    assert helpers.vector_space_edge_count(p, k) == edges
+
+
+@pytest.mark.parametrize("p,k", [(2, 6), (3, 5), (5, 4)])
+def test_vector_space_edge_counts_match_the_closed_form(p, k):
+    # every nonzero subspace is second and every proper one prime, so SSI
+    # joins the pairs that meet beyond 0 and PSS those that sum below M
+    _, module = parse_descriptor("x".join([f"Z{p}"] * k), f"Z{p}")
+    lattice = enumerate_submodules(module)
+    want = helpers.vector_space_edge_count(p, k)
+    for kind in (GraphKind.SSI, GraphKind.PSS):
+        assert build_graph(kind, module, lattice).edge_count == want, kind
 
 
 def test_ssi_and_pss_are_isomorphic_by_duality():

@@ -13,6 +13,7 @@ from modgraphs import (
     run_suite,
     select_checks,
 )
+from modgraphs import harness
 from modgraphs.harness import Instance
 from modgraphs import parse_descriptor
 
@@ -203,6 +204,22 @@ def test_timing_opt_in():
 def test_report_json_is_json_dumps_of_as_dict(family, timing):
     report = run_suite(family, checks="all", include_timing=timing)
     assert helpers.json_dumps_mismatch(report.to_json(), report.as_dict()) is None
+
+
+def test_report_json_encodes_each_distinct_string_once(monkeypatch):
+    # the check ids, instances and verdicts repeat across results; each
+    # distinct one (and the suite and family) is encoded once
+    encoded = []
+    real = harness.encode_basestring_ascii
+    monkeypatch.setattr(harness, "encode_basestring_ascii",
+                        lambda text: encoded.append(text) or real(text))
+    report = run_suite("cyclic:2..12", checks="all")
+    text = report.to_json()
+    distinct = {report.suite, report.family}.union(
+        *({r.check_id, r.instance, r.verdict} for r in report.results))
+    assert sorted(encoded) == sorted(distinct)
+    monkeypatch.undo()
+    assert text == report.to_json()
 
 
 def test_report_dict_shape():
