@@ -181,12 +181,12 @@ def _witness_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLatt
     join is prime."""
     meet = kind in MEET_KINDS
     top = lattice.module.order
-    witnesses = []  # (p, square, mask): prime-order or cyclic p^2 witness
+    # (p, square, mask): the minimals (maximals) are the witnesses of prime
+    # order (index) but a simple M (its 0), which holds (lies in) no vertex
+    witnesses = [(s.order if meet else top // s.order, 0, s.mask)
+                 for s in (lattice.minimals() if meet else lattice.maximals())]
     for s in lattice.all:
         size = s.order if meet else top // s.order
-        if _is_prime(size):
-            witnesses.append((size, 0, s.mask))
-            continue
         p = isqrt(size)
         if (p * p == size and _is_prime(p)
                 and (s.exponent if meet else s.quotient_exponent) == size):

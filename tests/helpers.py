@@ -10,17 +10,22 @@ addition; graph edges come from one meet or join per vertex pair, graph
 invariants from Floyd-Warshall and subset search, the C7/D7, C8/D8 and
 C9/D9 claims from lattice joins, meets and ideals, the C1/D1 claims from
 the literal few-lows shape, the C15/D15 claims from the searched
-domination number, JSON text from json.dumps.
+domination number, JSON text from json.dumps, and the command line from
+argparse, with the four subparsers the CLI built before it read its own
+option table.
 The oracles deliberately avoid the package's enumeration and metric code
 paths; only the C15/D15 oracle calls `domination_number`, the exact
 search the package's claim does without.
 """
+import argparse
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
 from math import comb, gcd, inf, lcm
 
-from modgraphs import domination_number
+from modgraphs import DEFAULT_FAMILY, MAX_MODULE_ORDER, GraphKind, domination_number
 
 
 def divisors(n):
@@ -600,3 +605,72 @@ def json_dumps_mismatch(text, payload):
     at = next((i for i, (a, b) in enumerate(zip(text, want)) if a != b),
               min(len(text), len(want)))
     return at, text[max(at - 60, 0):at + 60], want[max(at - 60, 0):at + 60]
+
+
+# ---- the command line as argparse reads it
+
+def build_argparse_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="modgraphs",
+        description="submodule lattices of finite Z_n-modules, their "
+                    "intersection/sum graphs, and machine checks over them")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def module_args(sp):
+        sp.add_argument("--module", required=True,
+                        help="module descriptor, e.g. Z12 or Z2xZ4")
+        sp.add_argument("--ring", default=None,
+                        help="ring descriptor Z<n>; defaults to the lcm "
+                             "of the module's factors")
+        sp.add_argument("--max-order", type=int, default=MAX_MODULE_ORDER,
+                        help="size guard on the module order, and on the "
+                             "ring's when its ideal lattice is needed "
+                             f"(default {MAX_MODULE_ORDER})")
+        sp.add_argument("--out", default=None,
+                        help="write output to this file instead of stdout")
+
+    pe = sub.add_parser("enumerate", help="list every submodule")
+    module_args(pe)
+    pe.add_argument("--format", choices=("text", "json"), default="text")
+
+    pc = sub.add_parser("classify",
+                        help="flags for each submodule plus module properties")
+    module_args(pc)
+    pc.add_argument("--format", choices=("text", "json"), default="text")
+
+    pg = sub.add_parser("graph", help="export one of the six graphs")
+    module_args(pg)
+    pg.add_argument("--kind", required=True,
+                    choices=[k.value for k in GraphKind])
+    pg.add_argument("--format", choices=("dot", "json"), default="dot")
+
+    pk = sub.add_parser("check", help="run the checks over a module family")
+    pk.add_argument("--family", default=DEFAULT_FAMILY,
+                    help=f"family description (default: {DEFAULT_FAMILY})")
+    pk.add_argument("--checks", default="strict",
+                    help="'strict', 'all', or a comma list of ids like C1,D6")
+    pk.add_argument("--strict", action="store_true",
+                    help="exit 1 when any strict check fails")
+    pk.add_argument("--fail-on-findings", action="store_true",
+                    help="exit 1 when any report check records a finding")
+    pk.add_argument("--timing", action="store_true",
+                    help="include per-result millis; output is then no "
+                         "longer byte-stable")
+    pk.add_argument("--max-order", type=int, default=MAX_MODULE_ORDER,
+                    help="size guard on each module's order and its ring's "
+                         f"(default {MAX_MODULE_ORDER})")
+    pk.add_argument("--out", default=None)
+    return parser
+
+
+def argparse_reading(argv):
+    """(exit code, parsed options, stdout, stderr) of the argparse parser on
+    argv: (0 or 2, None, ...) when it prints help or a usage error, else
+    (None, vars of the namespace, ...)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            values = vars(build_argparse_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, None, out.getvalue(), err.getvalue()
+    return None, values, out.getvalue(), err.getvalue()

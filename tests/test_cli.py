@@ -1,18 +1,24 @@
 """Command-line interface: exit codes, output formats, determinism."""
 import ast
 import hashlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modgraphs
-from modgraphs.cli import dispatch
+from modgraphs import GraphKind
+from modgraphs.cli import _parse, dispatch
+
+from helpers import argparse_reading
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -34,6 +40,39 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli("--help", capsys=capsys)
     assert code == 0
     assert "enumerate" in out and "check" in out
+
+
+def test_command_help_lists_the_kind_choices(capsys):
+    code, out, err = run_cli("graph", "-h", capsys=capsys)
+    assert (code, err) == (0, "")
+    kind = next(line for line in out.splitlines() if line.lstrip().startswith("--kind"))
+    assert kind.split() == ["--kind", "{ssi,pss,sii,pis,ssi_tilde,pss_tilde}"]
+
+
+def test_prefix_and_equals_forms_read_as_the_full_option(capsys):
+    want = run_cli("check", "--family", "zmod:Z16", "--checks", "C6,D6", capsys=capsys)
+    assert want[0] == 0 and json.loads(want[1])["summary"]["findings"] == 2
+    assert run_cli("check", "--fam", "zmod:Z16", "--checks", "C6,D6", capsys=capsys) == want
+    assert run_cli("check", "--family=zmod:Z16", "--che=C6,D6", capsys=capsys) == want
+
+
+@pytest.mark.parametrize("argv,named", [
+    (("check", "--f", "x"), "--f could match --family, --fail-on-findings"),
+    (("graph", "--module", "Z12"), "--kind"),
+    (("check", "--max-order", "ten"), "'ten'"),
+    (("graph", "--module", "Z12", "--kind", "zzz"), "'zzz'"),
+    (("enumerate", "--module"), "--module"),
+    (("enumerate", "--module", "Z6", "Z12"), "Z12"),
+    (("check", "--strict=yes"), "--strict"),
+    (("bogus",), "'bogus'"),
+], ids=["ambiguous", "missing-kind", "bad-int", "bad-choice", "no-value", "stray",
+        "flag-value", "bad-command"])
+def test_usage_errors_exit_2_with_nothing_on_stdout(argv, named, capsys):
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: modgraphs ") and error.startswith("modgraphs: error: ")
+    assert named in error
 
 
 def test_bad_module_descriptor(capsys):
@@ -186,6 +225,87 @@ def test_unknown_graph_kind_is_usage_error(capsys):
     code, _, _ = run_cli("graph", "--module", "Z12", "--kind", "zzz",
                          capsys=capsys)
     assert code == 2
+
+
+# ------------------------------------------- the parser against argparse
+
+# the values each option is drawn with, good ones first; flags take none
+MODULE_VALUES = {"--module": ["Z12", "Z2xZ4", "", "-5", "-a b", "-x"],
+                 "--ring": ["Z24", "Z4"],
+                 "--max-order": ["100", "4096", "-5", " 7", "1_000", "ten", "4.5"],
+                 "--out": ["out.txt", "-"]}
+OPTIONS = {
+    "enumerate": {**MODULE_VALUES, "--format": ["json", "text", "dot"]},
+    "classify": {**MODULE_VALUES, "--format": ["json", "text", "xml"]},
+    "graph": {**MODULE_VALUES, "--kind": [k.value for k in GraphKind] + ["zzz", "SSI"],
+              "--format": ["dot", "json", "text"]},
+    "check": {"--family": ["zmod:Z16", "cyclic:2..4"], "--checks": ["C6,D6", "all"],
+              "--strict": None, "--fail-on-findings": None, "--timing": None,
+              "--max-order": MODULE_VALUES["--max-order"], "--out": ["out.txt"]},
+}
+REQUIRED = {"enumerate": ["--module", "Z6"], "classify": ["--module", "Z6"],
+            "graph": ["--module", "Z6", "--kind", "pss"], "check": []}
+HELP = ["-h", "--help", "--he", "--help=x", "-h=x"]
+STRAY = ["x", "Z12", "-", "-x", "--zzz", "--zzz=1", "-5", "a b", "--kind", "--family"]
+
+
+@st.composite
+def option_tokens(draw, command):
+    """One option of `command` as one or two tokens: its name or a prefix
+    of it, then its value (more often the first) after '=', as the next
+    token, or not at all."""
+    name, values = draw(st.sampled_from(sorted(OPTIONS[command].items())))
+    spelled = draw(st.sampled_from([name, name[:draw(st.integers(3, len(name)))]]))
+    value = draw(st.sampled_from([(values or ["x"])[0]] * 3 + (values or [])))
+    if values is None:
+        return draw(st.sampled_from([[spelled]] * 5 + [[f"{spelled}={value}"]]))
+    return draw(st.sampled_from([[spelled, value]] * 3 + [[f"{spelled}={value}"], [spelled]]))
+
+
+@st.composite
+def command_lines(draw):
+    """argv over the four commands: maybe a token before the command, the
+    command (or a bad one, or none), maybe its required options, then
+    options, and now and then help or a stray token, in any order."""
+    before = draw(st.sampled_from([[]] * 24 + [[token] for token in ["--zzz", "-x"] + HELP]))
+    command = draw(st.sampled_from(list(OPTIONS) * 3 + ["bogus", None]))
+    if command is None:
+        return before
+    pieces = [REQUIRED.get(command, [])] * draw(st.sampled_from([1, 1, 0]))
+    pieces += draw(st.lists(st.one_of(
+        *[option_tokens(command)] * 8 * (command in OPTIONS),
+        st.sampled_from(HELP + STRAY).map(lambda token: [token])), max_size=5))
+    order = draw(st.permutations(range(len(pieces))))
+    return before + [command] + [token for i in order for token in pieces[i]]
+
+
+def table_reading(argv):
+    """The table parser's reading of argv in argparse_reading's shape."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        parsed = _parse(argv)
+    if isinstance(parsed, int):
+        return parsed, None, out.getvalue(), err.getvalue()
+    return None, vars(parsed), out.getvalue(), err.getvalue()
+
+
+def assert_reads_as_argparse(argv):
+    code, values, out, err = table_reading(argv)
+    assert (code, values) == argparse_reading(argv)[:2], argv
+    if code == 0:  # help
+        assert out.startswith("usage: modgraphs") and err == "", argv
+    elif code == 2:
+        assert out == "", argv
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: modgraphs") and error.startswith("modgraphs: error: ")
+    else:
+        assert out == err == "", argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(command_lines())
+def test_options_read_as_argparse_reads_them(argv):
+    assert_reads_as_argparse(argv)
 
 
 # ------------------------------------------------------------ enumerate
@@ -352,6 +472,22 @@ def test_outputs_match_their_byte_pins(pin, capsys):
     assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (0, *BYTE_PINS[pin])
 
 
+@pytest.mark.parametrize("argv", [
+    *BYTE_PINS,
+    ("enumerate", "--module", "Z12"),
+    ("classify", "--module", "Z12", "--format", "json"),
+    ("graph", "--module", "Z2xZ4", "--ring", "Z4", "--kind", "pss_tilde", "--format", "json"),
+    ("check", "--fail-on-findings", "--timing"),
+    ("check", "--strict"),
+    ("check", "--fam", "zmod:Z16", "--ch=C6,D6", "--fam=cyclic:2..4", "--str", "--out", "x"),
+    ("graph", "--kind", "sii", "--module=Z8", "--max", "-5", "--form=json", "-h"),
+    ("enumerate", "--module", "-a b", "--ring", "-12", "--out", "-"),
+    (),
+])
+def test_documented_command_lines_read_as_argparse_reads_them(argv):
+    assert_reads_as_argparse(list(argv))
+
+
 def test_cyclic_check_picks_no_generators(monkeypatch, capsys):
     # every member of a cyclic module is dM, so no label, check or witness
     # needs canonical generators, and the report keeps its bytes
@@ -473,7 +609,8 @@ def test_package_runs_as_a_module():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # every op of a fresh process pays for this import before any lattice
-    # is built; dataclasses alone pulls in inspect, ast and dis
+    # is built; dataclasses alone pulls in inspect, ast and dis, and the
+    # command line is read without argparse and the gettext it imports
     probe = ("import sys; before = set(sys.modules); import modgraphs.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -481,7 +618,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "modgraphs.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis"}), sorted(loaded)
+    assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "argparse", "gettext"}), \
+        sorted(loaded)
 
 
 def test_only_check_loads_the_check_registry():
