@@ -440,8 +440,9 @@ def test_check_all_is_byte_stable_on_a_374_member_lattice(capsys):
 # argv of a graph export, a check run or a classify -> byte count and
 # sha256 of stdout; the Z4xZ4xZ4 exports carry generator labels, Z2^6 over
 # Z2 is the 2,825-member lattice, F_5^4 and F_7^4 (1,120 and 3,652 members)
-# are the largest vector spaces the guards accept, and classify writes the
-# module properties through ModuleProperties._asdict
+# are the largest vector spaces the guards accept, Z3^3xZ9^2 and Z6^4
+# (14,372 and 14,204 members) the slowest checks they accept, and classify
+# writes the module properties through ModuleProperties._asdict
 BYTE_PINS = {
     ("graph", "--module", "Z4xZ4xZ4", "--kind", "pss", "--format", "dot"):
         (74640, "5c00cae83131ae4c757e39e76dfd4b39159c93bb57643cde4bb8ce368b98ae50"),
@@ -455,6 +456,10 @@ BYTE_PINS = {
         (3858, "78cb651c7494b4c737125e9c8002c7092d487fb950f560321a280c6c2dbe1a5b"),
     ("check", "--family", "vector:7^4", "--checks", "all"):
         (3858, "79e09f7635e0a19c1186b83e7f007989b23fd774e0cdc736b9a47bf203ed019b"),
+    ("check", "--family", "zmod:Z3xZ3xZ3xZ9xZ9", "--checks", "all"):
+        (3936, "e7fe012fd2079079a75e26fd7bfafc077013ce3f3ad56719edd016d7055fa309"),
+    ("check", "--family", "zmod:Z6xZ6xZ6xZ6", "--checks", "all"):
+        (3863, "38d316c749e49126f3362ea7ffba0e09f738d1440f765cec6a0f6e1d3001b212"),
     ("check", "--family", "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3",
      "--checks", "all"):
         (488363, "e4e5d4c2c1dc61d4bf499644f6996921d3007c8b29efedeaa6014b36cc452e0e"),
