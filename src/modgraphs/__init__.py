@@ -32,7 +32,6 @@ from .cli import dispatch, main
 from .graphs import (
     GraphKind,
     GraphMetrics,
-    GraphVertex,
     SimpleGraph,
     build_graph,
     domination_number,
@@ -72,7 +71,6 @@ __all__ = [
     "FiniteModule",
     "GraphKind",
     "GraphMetrics",
-    "GraphVertex",
     "Instance",
     "MAX_LATTICE_SIZE",
     "MAX_MODULE_ORDER",

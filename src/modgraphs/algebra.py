@@ -130,7 +130,7 @@ class Ring:
             self._lattice = enumerate_submodules(
                 self.as_module(), max_order=max_order, max_lattice=max_lattice)
         elif len(self._lattice) > max_lattice:
-            raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
+            raise _lattice_refusal(self.as_module(), max_lattice)
         return self._lattice
 
     @property
@@ -553,6 +553,14 @@ def guard_module_order(module: FiniteModule, max_order: int) -> None:
         raise SizeGuardError(f"module order {shown} exceeds the guard {max_order}")
 
 
+def _lattice_refusal(module: FiniteModule, max_lattice: int) -> SizeGuardError:
+    """Refuse a lattice past max_lattice, naming Z_n over itself as the ring."""
+    ring = module.ring
+    name = (f"ring {ring.descriptor}" if module == ring.as_module()
+            else f"module {module.descriptor} over {ring.descriptor}")
+    return SizeGuardError(f"{name} lattice size exceeds the guard {max_lattice}")
+
+
 def enumerate_submodules(module: FiniteModule, *,
                          max_order: int = MAX_MODULE_ORDER,
                          max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
@@ -572,7 +580,7 @@ def enumerate_submodules(module: FiniteModule, *,
     primes = [q for q in divisors(module.exponent) if _is_prime(q)]
     parts = [_sylow_interval(module, p, max_lattice) for p in primes]
     if prod(map(len, parts)) > max_lattice:
-        raise SizeGuardError(f"lattice size exceeds the guard {max_lattice}")
+        raise _lattice_refusal(module, max_lattice)
     subs = {(1 << module.order) - 1: (1, 1)}
     for part in parts:
         subs = {m & pm: (e * pe, c * pc) for m, (e, c) in subs.items()
@@ -631,8 +639,7 @@ def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int,
             if joined not in subs:
                 subs[joined] = max(subs[a], size)
                 if len(subs) > max_lattice:
-                    raise SizeGuardError(
-                        f"lattice size exceeds the guard {max_lattice}")
+                    raise _lattice_refusal(module, max_lattice)
                 queue.append(joined)
     return {m: (e, _quotient_exponent(module, m)) for m, e in subs.items()}
 
@@ -641,17 +648,16 @@ class SubmoduleLattice:
     """The full submodule lattice with classification flags.
 
     Members are indexed by their masks: M, each ideal cZ_n, a meet, the
-    second socle and the prime radical are reads of a closed-form mask,
-    and join searches one order bucket, the buckets built on the first
-    join.  The annihilator and colon ideals of N are exp(N)Z_n and
-    exp(M/N)Z_n, read off the member.  The flags are primality tests on
-    numbers the members hold: second and prime on those two divisors,
-    minimal and maximal on |N| and |M/N|; large and small compare the mask
-    with M[q] and qM, for `prime_product` q.  Each `is_X(sub)` first checks
-    that sub is a member; the proper nonzero members, seconds, primes,
-    minimals and maximals are listed once by the bare tests and kept.  The
-    module properties are facts about |M|, exp(M), q and n, apart from
-    hollow and uniform, which read the small and large flags.
+    second socle and the prime radical are reads of a closed-form mask.
+    The annihilator and colon ideals of N are exp(N)Z_n and exp(M/N)Z_n,
+    read off the member.  The flags are primality tests on numbers the
+    members hold: second and prime on those two divisors, minimal and
+    maximal on |N| and |M/N|; large and small compare the mask with M[q]
+    and qM, for `prime_product` q.  Each `is_X(sub)` first checks that sub
+    is a member; the proper nonzero members, seconds, primes, minimals and
+    maximals are listed once by the bare tests and kept.  The module
+    properties are facts about |M|, exp(M), q and n, apart from hollow and
+    uniform, which read the small and large flags.
     """
 
     def __init__(self, module: FiniteModule, members: tuple[Submodule, ...],
@@ -660,7 +666,6 @@ class SubmoduleLattice:
         self.all = members
         self.prime_product = prime_product  # q, the primes dividing exp(M) multiplied
         self._by_mask = {s.mask: i for i, s in enumerate(members)}
-        self._by_order: dict[int, list[int]] | None = None  # built by the first `join`
         self._member_tuples: dict[str, tuple[Submodule, ...]] = {}
         self._props = None
 
@@ -700,14 +705,10 @@ class SubmoduleLattice:
             return self.all[j]
         if union == mi:
             return self.all[i]
-        if self._by_order is None:
-            self._by_order = {}
-            for k, s in enumerate(self.all):
-                self._by_order.setdefault(s.order, []).append(k)
         order = mi.bit_count() * mj.bit_count() // (mi & mj).bit_count()
-        for k in self._by_order[order]:
-            if self.all[k].mask & union == union:
-                return self.all[k]
+        for s in self.all:
+            if s.order == order and s.mask & union == union:
+                return s
         raise AssertionError("lattice is missing a join")
 
     def meet(self, a: Submodule, b: Submodule) -> Submodule:

@@ -152,10 +152,6 @@ def _labels(subs) -> list:
     return [s.label() for s in subs]
 
 
-def _vertex_labels(g, bits: int) -> list:
-    return [g.vertices[i].label for i in bit_positions(bits)]
-
-
 def _always(side, inst):
     return True
 
@@ -207,7 +203,7 @@ def _claim_1(side, inst):
     if (len(f.metrics.universal_vertices) > 0) == (cond is not None):
         return True, None
     return False, {
-        "universal_vertices": [f.graph.vertices[i].label for i in f.metrics.universal_vertices],
+        "universal_vertices": _labels(f.graph.vertices[i] for i in f.metrics.universal_vertices),
         f"{side.low}s": _labels(f.lows),
         "condition": cond,
     }
@@ -223,11 +219,11 @@ def _claim_2(side, inst):
     # exp(M) is not q, so M[q] and qM are proper and nonzero: a vertex, and
     # every flagged member is one
     f = facts(side, inst)
-    vi = f.graph.vertex_for(f.core).index
+    vi = f.graph.vertex_for(f.core)
     missed = f.flagged_bits & ~f.graph.rows[vi] & ~(1 << vi)
     if missed:
-        return False, {side.core: f.core.label(),
-                       "non_neighbors": _vertex_labels(f.graph, missed)}
+        return False, {side.core: f.core.label(), "non_neighbors":
+                       _labels(f.graph.vertices[i] for i in bit_positions(missed))}
     return True, None
 
 
@@ -240,7 +236,7 @@ def _applies_3(side, inst):
 
 def _claim_3(side, inst):
     f = facts(side, inst)
-    vi = f.graph.vertex_for(f.core).index
+    vi = f.graph.vertex_for(f.core)
     if vi in f.metrics.universal_vertices:
         return True, None
     return False, {side.core: f.core.label(),
@@ -256,7 +252,7 @@ def _claim_4(side, inst):
     if isolated == both:
         return True, None
     i = ((isolated ^ both) & -(isolated ^ both)).bit_length() - 1
-    return False, {"vertex": f.graph.vertices[i].label, "isolated": bool(isolated >> i & 1),
+    return False, {"vertex": f.graph.vertices[i].label(), "isolated": bool(isolated >> i & 1),
                    f"{side.low}_and_{side.high}": bool(both >> i & 1)}
 
 
@@ -273,7 +269,8 @@ def _claim_5(side, inst):
         return False, {f"{side.low}s": _labels(f.lows)}
     stray = (1 << f.metrics.vertex_count) - 1 & ~f.flagged_bits & ~f.high_bits
     if stray:
-        return False, {f"neither_{side.flag}_nor_{side.high}": _vertex_labels(f.graph, stray)}
+        return False, {f"neither_{side.flag}_nor_{side.high}":
+                       _labels(f.graph.vertices[i] for i in bit_positions(stray))}
     return True, None
 
 
@@ -289,8 +286,8 @@ def _claim_6(side, inst):
     for i, row in enumerate(f.graph.rows):
         missed = full & ~row >> i + 1 << i + 1
         if missed:
-            a = f.graph.vertices[i].submodule
-            b = f.graph.vertices[(missed & -missed).bit_length() - 1].submodule
+            a = f.graph.vertices[i]
+            b = f.graph.vertices[(missed & -missed).bit_length() - 1]
             meet = side.meet(inst.lattice, a, b)
             return False, {
                 "pair": [a.label(), b.label()],
@@ -315,7 +312,7 @@ def _claim_7(side, inst):
     # would fail.
     lat, n = inst.lattice, inst.ring.modulus
     g = facts(side, inst).graph
-    vs = lat.proper_nonzero()
+    vs = g.vertices
     cs = [side.divisor(s) for s in vs]
     for i, j in combinations(range(len(vs)), 2):
         c, d = cs[i], cs[j]
@@ -384,7 +381,7 @@ def _claim_10(side, inst):
     f = facts(side, inst)
     if f.metrics.girth == 3:  # a triangle answers both branches below
         return True, None
-    vs = inst.lattice.proper_nonzero()
+    vs = f.graph.vertices
     noncomparable = next(([vs[i].label(), vs[j].label()] for i, j in f.graph.iter_edges()
                           if vs[i].mask & vs[j].mask not in (vs[i].mask, vs[j].mask)), None)
     if noncomparable is not None:
@@ -469,7 +466,7 @@ def _claim_15(side, inst):
     # row covers is covered twice
     for i, row in closed.items():
         if not row & ~twice:
-            return False, {"redundant_member": f.graph.vertices[i].label}
+            return False, {"redundant_member": f.graph.vertices[i].label()}
     if len(f.lows) <= 2:
         cond = _few_lows_condition(side, inst)
         universal = bool(f.metrics.universal_vertices)

@@ -38,7 +38,6 @@ from typing import NamedTuple
 from .algebra import (
     DescriptorError,
     FiniteModule,
-    Ring,
     SizeGuardError,
     Submodule,
     SubmoduleLattice,
@@ -67,35 +66,20 @@ TILDE_KINDS = frozenset({GraphKind.SSI_TILDE, GraphKind.PSS_TILDE})
 MEET_KINDS = frozenset({GraphKind.SSI, GraphKind.SII, GraphKind.SSI_TILDE})
 
 
-class GraphVertex(NamedTuple):
-    """A vertex and the member it carries; the label is written on read."""
-    index: int
-    submodule: Submodule
-    symbol: str  # M for submodules, R for ideals
-
-    @property
-    def label(self) -> str:
-        return self.submodule.label(self.symbol)
-
-    @property
-    def order(self) -> int:
-        return self.submodule.order
-
-
 class SimpleGraph:
-    """Undirected graph on lattice vertices, held as its adjacency rows:
-    row i is an int bitmask with bit j set when i and j are adjacent.
-    The rows are the one representation; the edge list is derived from
-    them on demand."""
+    """Undirected graph on the lattice members `vertices`, held as its
+    adjacency rows: row i is an int bitmask with bit j set when vertices i
+    and j are adjacent, and the edges are read off the rows.  `symbol`
+    names the top in labels: M for submodules, R for ideals."""
 
-    def __init__(self, kind: GraphKind, ring: Ring, module: FiniteModule,
-                 vertices: tuple[GraphVertex, ...], rows: list[int]):
+    def __init__(self, kind: GraphKind, module: FiniteModule,
+                 vertices: tuple[Submodule, ...], rows: list[int]):
         self.kind = kind
-        self.ring = ring
         self.module = module
         self.vertices = vertices
         self.rows = rows
-        self._vertex_index = {v.submodule.mask: v.index for v in vertices}
+        self.symbol = "M" if kind in (GraphKind.SSI, GraphKind.PSS) else "R"
+        self._vertex_index = {v.mask: i for i, v in enumerate(vertices)}
 
     @property
     def vertex_count(self) -> int:
@@ -105,12 +89,9 @@ class SimpleGraph:
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
 
-    def edges(self) -> list[tuple[int, int]]:
-        """Every edge (i, j) with i < j, in sorted order."""
-        return list(self.iter_edges())
-
     def iter_edges(self):
-        """The edges of `edges()`, read off one row at a time."""
+        """Every edge (i, j) with i < j, in sorted order, read off one row
+        at a time."""
         for i, row in enumerate(self.rows):
             for j in bit_positions(row >> i + 1 << i + 1):
                 yield i, j
@@ -121,16 +102,16 @@ class SimpleGraph:
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
-    def vertex_for(self, sub: Submodule) -> GraphVertex:
-        """The vertex carrying this submodule (or this ideal)."""
+    def vertex_for(self, sub: Submodule) -> int:
+        """The index of the vertex that is this submodule (or this ideal)."""
         i = self._vertex_index.get(sub.mask)
-        if i is None or not _same_module(sub.module, self.vertices[i].submodule.module):
+        if i is None or not _same_module(sub.module, self.vertices[i].module):
             raise ValueError(f"{sub!r} is not a vertex of this graph")
-        return self.vertices[i]
+        return i
 
     def vertex_mask(self, subs) -> int:
-        """The bitmask of the vertices carrying members of subs, which come
-        from the lattice the graph was built on; the others are skipped."""
+        """The bitmask of the vertices among subs, which come from the
+        lattice the graph was built on; the others are skipped."""
         index = self._vertex_index
         return sum(1 << index[s.mask] for s in subs if s.mask in index)
 
@@ -167,14 +148,18 @@ def build_graph(kind, module: FiniteModule, lattice: SubmoduleLattice | None = N
         lattice = module_lattice(module)
 
     if kind in TILDE_KINDS:
-        return _build_tilde(kind, module, lattice, ring_lattice)
-
-    symbol = "R" if kind in IDEAL_KINDS else "M"
-    return _witness_graph(kind, module, lattice, lattice.proper_nonzero(), symbol)
+        if ring_lattice is None:
+            ring_lattice = ring.lattice()
+        # the ideal cZ_n, c | n, has colon divisor exp(Z_n/cZ_n) = c
+        colon = kind is GraphKind.PSS_TILDE
+        picked = {s.quotient_exponent if colon else s.exponent for s in lattice.all}
+        return _witness_graph(kind, module, ring_lattice, tuple(
+            i for i in ring_lattice.proper_nonzero() if i.quotient_exponent in picked))
+    return _witness_graph(kind, module, lattice, lattice.proper_nonzero())
 
 
 def _witness_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
-                   verts, symbol: str) -> SimpleGraph:
+                   verts: tuple[Submodule, ...]) -> SimpleGraph:
     """The graph on `verts` (members of `lattice`) under the kind's edge
     rule, one adjacency row per vertex from the witness sets (see the
     module docstring): the meet is second (ssi, sii, ssi_tilde) or the
@@ -211,20 +196,7 @@ def _witness_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLatt
             seen |= atoms
             row |= atoms & ~squares
         rows.append(row & ~twice & ~(1 << i))
-    vertices = tuple(GraphVertex(i, s, symbol) for i, s in enumerate(verts))
-    return SimpleGraph(kind, module.ring, module, vertices, rows)
-
-
-def _build_tilde(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLattice,
-                 ring_lattice: SubmoduleLattice | None) -> SimpleGraph:
-    ring = module.ring
-    if ring_lattice is None:
-        ring_lattice = ring.lattice()
-    # the ideal cZ_n, c | n, has colon divisor exp(Z_n/cZ_n) = c
-    colon = kind is GraphKind.PSS_TILDE
-    picked = {s.quotient_exponent if colon else s.exponent for s in lattice.all}
-    ideals = [i for i in ring_lattice.proper_nonzero() if i.quotient_exponent in picked]
-    return _witness_graph(kind, module, ring_lattice, ideals, "R")
+    return SimpleGraph(kind, module, verts, rows)
 
 
 HUBS = 16  # highest-degree vertices whose rows `_within_two` clears first
@@ -400,28 +372,28 @@ def export_graph(g: SimpleGraph, fmt: str = "dot") -> str:
     """Serialize a graph to 'dot' or 'json' text, byte-stable."""
     if fmt == "dot":
         lines = [f"graph {g.kind.value} {{"]
-        lines.append(f'  // module {g.module.descriptor} over {g.ring.descriptor}')
-        for v in g.vertices:
-            lines.append(f'  v{v.index} [label="{v.label}={_element_set_text(v.submodule)}"];')
-        for i, j in g.edges():
+        lines.append(f'  // module {g.module.descriptor} over {g.module.ring.descriptor}')
+        for i, v in enumerate(g.vertices):
+            lines.append(f'  v{i} [label="{v.label(g.symbol)}={_element_set_text(v)}"];')
+        for i, j in g.iter_edges():
             lines.append(f"  v{i} -- v{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         payload = {
             "kind": g.kind.value,
-            "ring": g.ring.descriptor,
+            "ring": g.module.ring.descriptor,
             "module": g.module.descriptor,
             "vertices": [
                 {
-                    "id": v.index,
-                    "label": v.label,
+                    "id": i,
+                    "label": v.label(g.symbol),
                     "order": v.order,
-                    "generators": [list(x) for x in v.submodule.generators],
+                    "generators": [list(x) for x in v.generators],
                 }
-                for v in g.vertices
+                for i, v in enumerate(g.vertices)
             ],
-            "edges": [[i, j] for i, j in g.edges()],
+            "edges": [[i, j] for i, j in g.iter_edges()],
         }
         return json.dumps(payload, indent=2) + "\n"
     raise DescriptorError(f"unknown export format {fmt!r}; expected dot or json")

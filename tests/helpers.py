@@ -411,7 +411,7 @@ def brute_transfer_claim(inst, ssi):
         if ideal_of(combine(vs[i], vs[j])) != rlat.join(a, b):
             continue
         lhs = g.adjacent(i, j)
-        rhs = pis.adjacent(pis.vertex_for(a).index, pis.vertex_for(b).index)
+        rhs = pis.adjacent(pis.vertex_for(a), pis.vertex_for(b))
         if lhs != rhs:
             return False, {
                 "pair": [vs[i].label(), vs[j].label()],
@@ -481,8 +481,8 @@ def brute_claim_1(inst, ssi):
     """C1 (ssi) or D1: some vertex is adjacent to every other exactly under
     the few-lows shape; one adjacency test per pair of vertices."""
     g = inst.graph("ssi" if ssi else "pss")
-    universal = [v.label for v in g.vertices
-                 if len(neighbors(g, v.index)) == g.vertex_count - 1]
+    universal = [v.label() for i, v in enumerate(g.vertices)
+                 if len(neighbors(g, i)) == g.vertex_count - 1]
     cond = brute_few_lows_condition(inst, ssi)
     if bool(universal) == (cond is not None):
         return True, None
@@ -500,7 +500,7 @@ def brute_claim_15(inst, ssi):
     g = inst.graph("ssi" if ssi else "pss")
     low = "minimal" if ssi else "maximal"
     lows = inst.lattice.minimals() if ssi else inst.lattice.maximals()
-    picked = {g.vertex_for(s).index for s in lows}
+    picked = {g.vertex_for(s) for s in lows}
 
     def dominates(vs):
         return set(vs).union(*(neighbors(g, v) for v in vs)) == set(range(g.vertex_count))
@@ -509,7 +509,7 @@ def brute_claim_15(inst, ssi):
         return False, {f"{low}s": [s.label() for s in lows], "reason": "do not dominate"}
     for drop in sorted(picked):
         if dominates(picked - {drop}):
-            return False, {"redundant_member": g.vertices[drop].label}
+            return False, {"redundant_member": g.vertices[drop].label()}
     gamma = domination_number(g)
     if gamma > len(lows):
         return False, {"domination_number": gamma, f"{low}_count": len(lows)}

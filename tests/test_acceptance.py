@@ -32,8 +32,8 @@ def family():
 
 
 def edge_labels(graph):
-    return {frozenset((graph.vertices[i].label, graph.vertices[j].label))
-            for i, j in graph.edges()}
+    return {frozenset((graph.vertices[i].label(), graph.vertices[j].label()))
+            for i, j in graph.iter_edges()}
 
 
 # criterion 1 -- every lattice in the default family equals an independent
@@ -79,11 +79,11 @@ def test_criterion_02_z12_graphs_are_exact():
     ms = inst.metrics(GraphKind.SSI)
     assert ms.is_connected and ms.diameter == 2 and ms.girth == 3
     assert domination_number(ssi) == 1
-    assert [ssi.vertices[i].label for i in ms.universal_vertices] == ["2M"]
+    assert [ssi.vertices[i].label() for i in ms.universal_vertices] == ["2M"]
     mp = inst.metrics(GraphKind.PSS)
     assert mp.is_connected and mp.diameter == 2 and mp.girth == 3
     assert domination_number(pss) == 1
-    assert [pss.vertices[i].label for i in mp.universal_vertices] == ["6M"]
+    assert [pss.vertices[i].label() for i in mp.universal_vertices] == ["6M"]
 
 
 # criterion 3 -- Z6: both graphs empty on two vertices, each vertex
@@ -98,7 +98,7 @@ def test_criterion_03_z6_disconnected_extremes():
         assert not m.is_connected
         assert g.degree(0) == g.degree(1) == 0
         for v in g.vertices:
-            flags = inst.lattice.flags(v.submodule)
+            flags = inst.lattice.flags(v)
             assert flags.is_minimal and flags.is_maximal
 
 
@@ -114,7 +114,7 @@ def test_criterion_04_prime_power_stars():
             assert m.edge_count == m.vertex_count - 1, (p, k)
             minimals = inst.lattice.minimals()
             assert len(minimals) == 1
-            center = g.vertex_for(minimals[0]).index
+            center = g.vertex_for(minimals[0])
             assert center in m.universal_vertices, (p, k)
             if m.vertex_count >= 3:
                 # center is unique once the star has at least two leaves
@@ -149,7 +149,7 @@ def test_criterion_06_discrepancies_reported_with_witnesses(family):
     by_label = {s.label(): s for s in lat.all}
     a, b = (by_label[x] for x in c6.witness["pair"])
     ssi = z16.graph(GraphKind.SSI)
-    assert not ssi.adjacent(ssi.vertex_for(a).index, ssi.vertex_for(b).index)
+    assert not ssi.adjacent(ssi.vertex_for(a), ssi.vertex_for(b))
     assert not lat.is_second(lat.meet(a, b))
 
     d6 = evaluate_check(CHECKS_BY_ID["D6"], z16)
@@ -157,7 +157,7 @@ def test_criterion_06_discrepancies_reported_with_witnesses(family):
     assert d6.witness["pair"] == ["4M", "8M"]
     c, d = (by_label[x] for x in d6.witness["pair"])
     pss = z16.graph(GraphKind.PSS)
-    assert not pss.adjacent(pss.vertex_for(c).index, pss.vertex_for(d).index)
+    assert not pss.adjacent(pss.vertex_for(c), pss.vertex_for(d))
     assert not lat.is_prime(lat.join(c, d))
 
     # the spanning-pair statement gets both readings recorded on every

@@ -308,7 +308,7 @@ def _cycle(n):
 
 def _swapped(base, kind):
     other = {GraphKind.SSI: GraphKind.PSS, GraphKind.PSS: GraphKind.SSI}.get(kind)
-    return None if other is None else base.graph(other).edges()
+    return None if other is None else list(base.graph(other).iter_edges())
 
 
 def _emptied(base, kind):
@@ -370,8 +370,7 @@ class DoctoredInstance(Instance):
                 for i, j in edges:
                     rows[i] |= 1 << j
                     rows[j] |= 1 << i
-                self._graphs[kind] = SimpleGraph(
-                    kind, real.ring, real.module, real.vertices, rows)
+                self._graphs[kind] = SimpleGraph(kind, real.module, real.vertices, rows)
         return self._graphs[kind]
 
     def metrics(self, kind):
@@ -458,10 +457,11 @@ def _rewired(labels, add):
         if kind is not GraphKind.SSI:
             return None
         g = base.graph(kind)
-        at = {v.label: v.index for v in g.vertices}
+        at = {v.label(): i for i, v in enumerate(g.vertices)}
         hub, *others = (at[label] for label in labels)
         touched = {tuple(sorted((hub, v))) for v in others}
-        return sorted(set(g.edges()) | touched if add else set(g.edges()) - touched)
+        edges = set(g.iter_edges())
+        return sorted(edges | touched if add else edges - touched)
     return doctor
 
 

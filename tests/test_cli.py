@@ -122,6 +122,16 @@ def test_guard_names_the_ring_when_the_ring_is_refused(argv, capsys):
     assert err == "error: ring Z4096 order 4096 exceeds the guard 100\n"
 
 
+def test_family_run_names_the_module_past_the_lattice_guard(capsys):
+    # Z2^7 over Z2 has 29,212 submodules, past the guard of 20,000; the
+    # modules before it in the family are not reported either
+    code, out, err = run_cli("check", "--family", "cyclic:2..4,zmod:Z2xZ2xZ2xZ2xZ2xZ2xZ2/Z2",
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == ("error: module Z2xZ2xZ2xZ2xZ2xZ2xZ2 over Z2 "
+                   "lattice size exceeds the guard 20000\n")
+
+
 def test_check_reads_the_ring_lattice_only_where_a_check_needs_it(capsys):
     # in `check` only C14/D14, which need Z_n over itself, and a C7 failure
     # witness read the ideal lattice, so the guard on Z4096 never fires

@@ -13,7 +13,6 @@ from modgraphs import (
     DEFAULT_FAMILY,
     DescriptorError,
     GraphKind,
-    GraphVertex,
     SimpleGraph,
     algebra,
     build_graph,
@@ -47,8 +46,8 @@ FROZEN_SSI_Z12_DOT = """graph ssi {
 class TestFrozenZ12:
     def test_ssi_structure(self, z12):
         g = z12.graph(GraphKind.SSI)
-        assert [v.label for v in g.vertices] == ["2M", "3M", "4M", "6M"]
-        assert g.edges() == [(0, 1), (0, 2), (0, 3), (1, 3)]
+        assert [v.label() for v in g.vertices] == ["2M", "3M", "4M", "6M"]
+        assert list(g.iter_edges()) == [(0, 1), (0, 2), (0, 3), (1, 3)]
 
     def test_ssi_metrics(self, z12):
         g = z12.graph(GraphKind.SSI)
@@ -63,8 +62,8 @@ class TestFrozenZ12:
 
     def test_pss_structure(self, z12):
         g = z12.graph(GraphKind.PSS)
-        assert [v.label for v in g.vertices] == ["2M", "3M", "4M", "6M"]
-        assert g.edges() == [(0, 2), (0, 3), (1, 3), (2, 3)]
+        assert [v.label() for v in g.vertices] == ["2M", "3M", "4M", "6M"]
+        assert list(g.iter_edges()) == [(0, 2), (0, 3), (1, 3), (2, 3)]
 
     def test_pss_metrics(self, z12):
         m = z12.metrics(GraphKind.PSS)
@@ -78,12 +77,12 @@ class TestFrozenZ12:
         # so the deduped graph coincides with the ideal-sum graph
         tilde = z12.graph(GraphKind.PSS_TILDE)
         pis = z12.graph(GraphKind.PIS)
-        assert [v.label for v in tilde.vertices] == [v.label for v in pis.vertices]
-        assert tilde.edges() == pis.edges()
+        assert tilde.vertices == pis.vertices
+        assert tilde.rows == pis.rows
         ssi_tilde = z12.graph(GraphKind.SSI_TILDE)
         sii = z12.graph(GraphKind.SII)
-        assert [v.label for v in ssi_tilde.vertices] == [v.label for v in sii.vertices]
-        assert ssi_tilde.edges() == sii.edges()
+        assert ssi_tilde.vertices == sii.vertices
+        assert ssi_tilde.rows == sii.rows
 
 
 def test_z6_ssi_is_two_isolated_vertices(z6):
@@ -100,21 +99,46 @@ def test_z16_ssi_is_a_star(z16):
     g = z16.graph(GraphKind.SSI)
     m = z16.metrics(GraphKind.SSI)
     assert m.edge_count == m.vertex_count - 1
-    assert [g.vertices[v].label for v in m.universal_vertices] == ["8M"]
+    assert [g.vertices[v].label() for v in m.universal_vertices] == ["8M"]
     assert m.girth == INF
 
 
 def test_z8_annihilator_graph():
     inst = make_instance("Z8")
     g = inst.graph(GraphKind.SSI_TILDE)
-    assert [v.label for v in g.vertices] == ["2R", "4R"]
-    assert g.edges() == [(0, 1)]
+    assert [v.label("R") for v in g.vertices] == ["2R", "4R"]
+    assert list(g.iter_edges()) == [(0, 1)]
+
+
+@pytest.mark.parametrize("module_text,ring_text", [("Z12", None), ("Z2xZ4", "Z8")])
+@pytest.mark.parametrize("kind", list(GraphKind))
+def test_vertices_are_the_members_the_graph_reads(kind, module_text, ring_text):
+    # the submodules of M for ssi and pss, the ideals of Z_n for sii and
+    # pis, and for the tilde kinds the ideals that are some member's
+    # annihilator (ssi_tilde) or colon ideal (pss_tilde)
+    inst = make_instance(module_text, ring_text)
+    g = inst.graph(kind)
+    if kind in (GraphKind.SSI, GraphKind.PSS):
+        members = inst.lattice.proper_nonzero()
+    elif kind in (GraphKind.SII, GraphKind.PIS):
+        members = inst.ring_lattice.proper_nonzero()
+    else:
+        ideal_of = inst.ann_ideal if kind is GraphKind.SSI_TILDE else inst.colon_of
+        picked = {ideal_of(s) for s in inst.lattice.all}
+        members = tuple(i for i in inst.ring_lattice.proper_nonzero() if i in picked)
+    assert g.vertices == members
+    assert g.symbol == ("M" if kind in (GraphKind.SSI, GraphKind.PSS) else "R")
+    positions = list(range(g.vertex_count))
+    assert [g.vertex_for(v) for v in g.vertices] == positions
+    dot = export_graph(g, "dot")
+    assert [int(line.split()[0][1:]) for line in dot.splitlines() if "[label=" in line] == positions
+    assert [v["id"] for v in json.loads(export_graph(g, "json"))["vertices"]] == positions
 
 
 def test_vertex_lookup(z12):
     g = z12.graph(GraphKind.SSI)
-    for v in g.vertices:
-        assert g.vertex_for(v.submodule) is v
+    for i, v in enumerate(g.vertices):
+        assert g.vertex_for(v) == i
     for sub in (z12.lattice.zero, z12.lattice.top):
         with pytest.raises(ValueError):
             g.vertex_for(sub)
@@ -135,7 +159,7 @@ def test_submodules_of_another_module_are_never_found():
     with pytest.raises(ValueError):
         lattice.join(three_m, foreign)
     g = build_graph("ssi", z6)
-    assert g.vertex_for(three_m).submodule == three_m
+    assert g.vertices[g.vertex_for(three_m)] == three_m
     with pytest.raises(ValueError):
         g.vertex_for(foreign)
 
@@ -148,7 +172,7 @@ def test_vertex_index_by_mask_keeps_its_module_check():
     two_m, line = span(z4, [(2,)]), span(plane, [(1, 0)])
     assert two_m.mask == line.mask == 0b101
     g = build_graph("ssi", z4)
-    assert g.vertex_for(two_m).submodule == two_m
+    assert g.vertices[g.vertex_for(two_m)] == two_m
     assert g.vertex_mask([two_m]) == 1
     with pytest.raises(ValueError):
         g.vertex_for(line)
@@ -176,7 +200,7 @@ def test_ssi_edges_are_second_intersections(module_text, ring_text):
     n = g.vertex_count
     for i in range(n):
         for j in range(i + 1, n):
-            meet = lat.meet(g.vertices[i].submodule, g.vertices[j].submodule)
+            meet = lat.meet(g.vertices[i], g.vertices[j])
             assert g.adjacent(i, j) == helpers.brute_second(meet)
 
 
@@ -188,7 +212,7 @@ def test_pss_edges_are_prime_sums(module_text, ring_text):
     n = g.vertex_count
     for i in range(n):
         for j in range(i + 1, n):
-            join = lat.join(g.vertices[i].submodule, g.vertices[j].submodule)
+            join = lat.join(g.vertices[i], g.vertices[j])
             assert g.adjacent(i, j) == helpers.brute_prime(join)
 
 
@@ -198,8 +222,7 @@ def test_edges_match_pairwise_oracle(module_text, ring_text):
     for kind in GraphKind:
         g = inst.graph(kind)
         lat = inst.lattice if kind in (GraphKind.SSI, GraphKind.PSS) else inst.ring_lattice
-        verts = [v.submodule for v in g.vertices]
-        assert g.edges() == helpers.pairwise_edges(kind, lat, verts), kind
+        assert list(g.iter_edges()) == helpers.pairwise_edges(kind, lat, g.vertices), kind
 
 
 @pytest.mark.parametrize("module_text,ring_text",
@@ -224,7 +247,7 @@ def test_ideal_graphs_need_the_ring_itself():
         build_graph(GraphKind.SII, inst.module, inst.lattice)
     # but Instance.graph reroutes to the underlying ring
     g = inst.graph(GraphKind.PIS)
-    assert [v.label for v in g.vertices] == ["2R"]
+    assert [v.label("R") for v in g.vertices] == ["2R"]
 
 
 @pytest.mark.parametrize("kind", [GraphKind.PSS_TILDE, GraphKind.SSI_TILDE])
@@ -247,8 +270,8 @@ def test_tilde_graph_of_the_ring_enumerates_once(kind, monkeypatch):
 
 def test_sii_equals_ssi_on_the_ring_as_module():
     inst = make_instance("Z12")
-    assert inst.graph(GraphKind.SII).edges() == inst.graph(GraphKind.SSI).edges()
-    assert inst.graph(GraphKind.PIS).edges() == inst.graph(GraphKind.PSS).edges()
+    assert inst.graph(GraphKind.SII).rows == inst.graph(GraphKind.SSI).rows
+    assert inst.graph(GraphKind.PIS).rows == inst.graph(GraphKind.PSS).rows
 
 
 # --------------------------------------------------- metric conventions
@@ -272,16 +295,15 @@ def test_empty_graph_conventions():
 
 
 def graph_from_edges(n, edges):
-    """A graph on n <= 65 vertices with these edges, its vertices carried by
-    the proper nonzero members of Z2^4 over Z2."""
+    """A graph on n <= 65 vertices with these edges, its vertices the first
+    n proper nonzero members of Z2^4 over Z2."""
     rows = [0] * n
     for i, j in edges:
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     _, module = parse_descriptor("Z2xZ2xZ2xZ2", "Z2")
-    carriers = enumerate_submodules(module).proper_nonzero()[:n]
-    return SimpleGraph(GraphKind.SSI, module.ring, module,
-                       tuple(GraphVertex(i, s, "M") for i, s in enumerate(carriers)), rows)
+    vertices = enumerate_submodules(module).proper_nonzero()[:n]
+    return SimpleGraph(GraphKind.SSI, module, vertices, rows)
 
 
 def _clique(vertices):
@@ -308,7 +330,7 @@ HAND_GRAPHS = {
 def test_diameter_fallback_on_hand_built_graphs(name):
     n, edges = HAND_GRAPHS[name]
     g = graph_from_edges(n, edges)
-    assert g.edges() == sorted(edges)
+    assert list(g.iter_edges()) == sorted(edges)
     assert graph_metrics(g).diameter == helpers.exhaustive_diameter(g)
     assert domination_number(g) == helpers.exhaustive_domination(g)
 
@@ -483,6 +505,6 @@ def test_unknown_export_format(z12):
 
 def test_tilde_labels_use_ring_symbol(z12):
     g = z12.graph(GraphKind.PSS_TILDE)
-    assert all(v.label.endswith("R") for v in g.vertices)
+    assert g.symbol == "R"
     dot = export_graph(g, "dot")
     assert 'label="2R=' in dot
