@@ -123,9 +123,7 @@ class Ring:
                 max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
         """The ideal lattice, cached after the first call; on every call
         max_order bounds n and max_lattice the lattice's size."""
-        if self.modulus > max_order:
-            raise SizeGuardError(f"ring {self.descriptor} order {self.modulus} "
-                                 f"exceeds the guard {max_order}")
+        guard_module_order(self.as_module(), max_order)
         if self._lattice is None:
             self._lattice = enumerate_submodules(
                 self.as_module(), max_order=max_order, max_lattice=max_lattice)
@@ -532,33 +530,27 @@ class ModuleProperties(NamedTuple):
     uniform: bool
 
 
-def module_lattice(module: FiniteModule, *,
-                   max_order: int = MAX_MODULE_ORDER,
-                   max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
-    """The submodule lattice of M.  Z_n over itself gets its ring's cached
-    ideal lattice, so the module side and the ring side share one
-    enumeration."""
-    guard_module_order(module, max_order)  # the module's refusal, not the ring's
-    if module == module.ring.as_module():
-        return module.ring.lattice(max_order=max_order, max_lattice=max_lattice)
-    return enumerate_submodules(module, max_order=max_order, max_lattice=max_lattice)
+def _module_name(module: FiniteModule) -> str:
+    """`ring Zn` for Z_n over itself, else `module D over Zn`."""
+    ring = module.ring
+    return (f"ring {ring.descriptor}" if module.invariant_factors == (ring.modulus,)
+            else f"module {module.descriptor} over {ring.descriptor}")
 
 
 def guard_module_order(module: FiniteModule, max_order: int) -> None:
-    """Refuse a module of more than max_order elements."""
+    """Refuse a module of more than max_order elements, naming it."""
     if module.order > max_order:
-        # past 2^64 by its bit length, as str() refuses an int of over 4,300 digits
+        # past 2^64 by its bit length and unnamed: str() refuses an int of over
+        # 4,300 digits, and a product's descriptor can run to 15,000 factors
         bits = module.order.bit_length()
-        shown = module.order if bits <= 64 else f"at least 2^{bits - 1}"
-        raise SizeGuardError(f"module order {shown} exceeds the guard {max_order}")
+        shown = (f"{_module_name(module)} order {module.order}" if bits <= 64
+                 else f"module order at least 2^{bits - 1}")
+        raise SizeGuardError(f"{shown} exceeds the guard {max_order}")
 
 
 def _lattice_refusal(module: FiniteModule, max_lattice: int) -> SizeGuardError:
-    """Refuse a lattice past max_lattice, naming Z_n over itself as the ring."""
-    ring = module.ring
-    name = (f"ring {ring.descriptor}" if module == ring.as_module()
-            else f"module {module.descriptor} over {ring.descriptor}")
-    return SizeGuardError(f"{name} lattice size exceeds the guard {max_lattice}")
+    """Refuse a lattice past max_lattice, naming the module."""
+    return SizeGuardError(f"{_module_name(module)} lattice size exceeds the guard {max_lattice}")
 
 
 def enumerate_submodules(module: FiniteModule, *,

@@ -16,10 +16,9 @@ from .algebra import (
     DescriptorError,
     SizeGuardError,
     enumerate_submodules,
-    module_lattice,
     parse_descriptor,
 )
-from .graphs import TILDE_KINDS, GraphKind, _element_set_text, build_graph, export_graph
+from .graphs import GraphKind, _element_set_text, export_graph
 from .harness import DEFAULT_FAMILY, Instance, run_suite
 
 
@@ -90,11 +89,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    ring, module = parse_descriptor(args.module, args.ring)
-    lattice = module_lattice(module, max_order=args.max_order)
-    kind = GraphKind(args.kind)
-    ring_lattice = ring.lattice(max_order=args.max_order) if kind in TILDE_KINDS else None
-    g = build_graph(kind, module, lattice, ring_lattice=ring_lattice)
+    _ring, module = parse_descriptor(args.module, args.ring)
+    g = Instance(module, max_order=args.max_order).graph(args.kind)
     return _emit(export_graph(g, args.format), args.out)
 
 

@@ -45,7 +45,6 @@ from .algebra import (
     _is_prime,
     _same_module,
     bit_positions,
-    module_lattice,
 )
 
 
@@ -130,22 +129,21 @@ def _coerce_kind(kind) -> GraphKind:
         raise DescriptorError(f"unknown graph kind {kind!r}; expected one of {names}")
 
 
-def build_graph(kind, module: FiniteModule, lattice: SubmoduleLattice | None = None,
-                *, ring_lattice: SubmoduleLattice | None = None) -> SimpleGraph:
-    """Construct one of the six graphs for the given module.
+def build_graph(kind, lattice: SubmoduleLattice,
+                ring_lattice: SubmoduleLattice | None = None) -> SimpleGraph:
+    """One of the six graphs on `lattice`, the submodules of a module M.
 
-    The submodule lattice is computed on demand when not supplied.  Ideal
-    kinds (sii, pis) insist that the module literally is the ring over
-    itself, since their vertices are ideals.
+    The ideal kinds (sii, pis) insist that M is the ring over itself, as
+    their vertices are ideals; the tilde kinds take their vertices from
+    `ring_lattice`, the ring's cached lattice when not supplied.
     """
     kind = _coerce_kind(kind)
+    module = lattice.module
     ring = module.ring
     if kind in IDEAL_KINDS and module != ring.as_module():
         raise DescriptorError(
             f"graph kind {kind} is an ideal graph; build it for {ring.descriptor} "
             f"over itself, not for {module.descriptor}")
-    if lattice is None:
-        lattice = module_lattice(module)
 
     if kind in TILDE_KINDS:
         if ring_lattice is None:

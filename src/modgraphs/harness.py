@@ -30,14 +30,14 @@ from .algebra import (
     Submodule,
     _NUMBER,
     _is_prime,
+    enumerate_submodules,
     guard_module_order,
-    module_lattice,
     parse_factors,
     prime_radical,
     second_socle,
 )
-from .graphs import (IDEAL_KINDS, TILDE_KINDS, GraphKind, _coerce_kind, build_graph,
-                     graph_metrics, universal_vertices)
+from .graphs import (TILDE_KINDS, GraphKind, _coerce_kind, build_graph, graph_metrics,
+                     universal_vertices)
 
 if TYPE_CHECKING:  # the check registry is loaded only when a suite runs
     from .checks import CheckResult
@@ -69,9 +69,11 @@ class Instance:
 
     @property
     def lattice(self):
+        """M's submodule lattice; Z_n over itself shares its ring's cached one."""
         if self._lattice is None:
-            self._lattice = module_lattice(
-                self.module, max_order=self.max_order, max_lattice=self.max_lattice)
+            self._lattice = (self.ring_lattice if self.module == self.ring.as_module() else
+                             enumerate_submodules(self.module, max_order=self.max_order,
+                                                  max_lattice=self.max_lattice))
         return self._lattice
 
     @property
@@ -97,17 +99,11 @@ class Instance:
         return self.ring_lattice.ideal(sub.quotient_exponent)
 
     def graph(self, kind):
+        """The kind's graph; an ideal kind needs M to be the ring over itself."""
         kind = _coerce_kind(kind)
         if kind not in self._graphs:
-            if kind in IDEAL_KINDS:
-                g = build_graph(kind, self.ring.as_module(),
-                                self.ring_lattice)
-            elif kind in TILDE_KINDS:
-                g = build_graph(kind, self.module, self.lattice,
-                                ring_lattice=self.ring_lattice)
-            else:
-                g = build_graph(kind, self.module, self.lattice)
-            self._graphs[kind] = g
+            self._graphs[kind] = build_graph(
+                kind, self.lattice, self.ring_lattice if kind in TILDE_KINDS else None)
         return self._graphs[kind]
 
     def metrics(self, kind):

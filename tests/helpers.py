@@ -25,7 +25,7 @@ from itertools import (combinations, combinations_with_replacement, permutations
                        product as cartesian)
 from math import comb, gcd, inf, lcm
 
-from modgraphs import DEFAULT_FAMILY, MAX_MODULE_ORDER, GraphKind, domination_number
+from modgraphs import DEFAULT_FAMILY, MAX_MODULE_ORDER, GraphKind, build_graph, domination_number
 
 
 def divisors(n):
@@ -390,6 +390,14 @@ def pairwise_edges(kind, lattice, verts):
             if holds(combine(verts[i], verts[j]))]
 
 
+def graph_of(inst, kind):
+    """The instance's graph of this kind, an ideal kind (sii, pis) built on
+    the ring's own ideals, as `Instance.graph` refuses it off Z_n over itself."""
+    if str(kind) in ("sii", "pis"):
+        return build_graph(kind, inst.ring_lattice)
+    return inst.graph(kind)
+
+
 # ---- check claims by their definition: lattice joins and meets, ring
 # ideals and their join, PIS vertices looked up per pair.  The package
 # decides the same claims on divisors, orders and masks.
@@ -401,7 +409,7 @@ def brute_transfer_claim(inst, ssi):
     lat, rlat = inst.lattice, inst.ring_lattice
     ideal_of, combine = (inst.ann_ideal, lat.meet) if ssi else (inst.colon_of, lat.join)
     g = inst.graph("ssi" if ssi else "pss")
-    pis = inst.graph("pis")
+    pis = build_graph("pis", rlat)
     vs = lat.proper_nonzero()
     ideals = [ideal_of(s) for s in vs]
     for i, j in combinations(range(len(vs)), 2):

@@ -634,7 +634,7 @@ def test_generated_modules_match_oracles(module):
         assert s.label() == helpers.brute_label(s), s
     ring_lattice = module.ring.lattice()
     for kind in (GraphKind.SSI, GraphKind.PSS, GraphKind.SSI_TILDE, GraphKind.PSS_TILDE):
-        g = build_graph(kind, module, lat, ring_lattice=ring_lattice)
+        g = build_graph(kind, lat, ring_lattice)
         side = lat if kind in (GraphKind.SSI, GraphKind.PSS) else ring_lattice
         assert list(g.iter_edges()) == helpers.pairwise_edges(kind, side, g.vertices), kind
     # self-duality: as many subgroups of order k as of index k

@@ -132,6 +132,14 @@ def test_family_run_names_the_module_past_the_lattice_guard(capsys):
                    "lattice size exceeds the guard 20000\n")
 
 
+def test_family_run_names_the_module_past_the_order_guard(capsys):
+    # |Z64xZ64xZ2| = 8192; the family stops as the item is expanded, and
+    # the refusal names the item, not only its order
+    code, out, err = run_cli("check", "--family", "cyclic:2..4,zmod:Z64xZ64xZ2", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: module Z64xZ64xZ2 over Z64 order 8192 exceeds the guard 4096\n"
+
+
 def test_check_reads_the_ring_lattice_only_where_a_check_needs_it(capsys):
     # in `check` only C14/D14, which need Z_n over itself, and a C7 failure
     # witness read the ideal lattice, so the guard on Z4096 never fires
@@ -159,7 +167,7 @@ def test_oversized_family_fails_before_it_is_built(monkeypatch, capsys):
     code, out, err = run_cli("check", "--family", "cyclic:4090..1000000",
                              "--checks", "C1", capsys=capsys)
     assert (code, out) == (3, "")
-    assert err == "error: module order 4097 exceeds the guard 4096\n"
+    assert err == "error: ring Z4097 order 4097 exceeds the guard 4096\n"
     assert len(built) == 8  # Z4090..Z4097, each built once
 
 
@@ -208,7 +216,7 @@ def test_domination_search_is_bounded(monkeypatch):
     # function refuses, naming the stage and graph
     monkeypatch.setattr(modgraphs.graphs, "DOMINATION_NODES", 5)
     _, module = modgraphs.parse_descriptor("Z5xZ5xZ5", "Z5")
-    g = modgraphs.build_graph("pss", module)
+    g = modgraphs.build_graph("pss", modgraphs.enumerate_submodules(module))
     with pytest.raises(modgraphs.SizeGuardError) as refused:
         modgraphs.domination_number(g)
     assert str(refused.value) == "domination search on pss of Z5xZ5xZ5 exceeded 5 nodes"
@@ -219,6 +227,31 @@ def test_ideal_graph_on_module_is_an_error(capsys):
                            "--kind", "pis", capsys=capsys)
     assert code == 2
     assert "ideal graph" in err
+
+
+@pytest.mark.parametrize("argv,code,enumerated", [
+    (("--module", "Z72", "--kind", "pss_tilde"), 0, ["Z72"]),
+    (("--module", "Z2xZ4", "--ring", "Z8", "--kind", "ssi_tilde"), 0, ["Z2xZ4", "Z8"]),
+    (("--module", "Z2xZ4", "--ring", "Z8", "--kind", "ssi"), 0, ["Z2xZ4"]),
+    (("--module", "Z2xZ4", "--ring", "Z4", "--kind", "pis"), 2, ["Z2xZ4"]),
+], ids=["ring-tilde", "module-tilde", "module-ssi", "module-pis"])
+def test_graph_enumerates_only_the_lattices_its_kind_reads(argv, code, enumerated,
+                                                           monkeypatch, capsys):
+    # Z_n over itself is its own ideal lattice, so one enumeration serves
+    # both sides; only a tilde kind reads the ring's ideals of a module
+    calls = []
+    real = modgraphs.algebra.enumerate_submodules
+
+    def counted(module, **kwargs):
+        calls.append(module.descriptor)
+        return real(module, **kwargs)
+
+    for mod in (modgraphs, modgraphs.algebra, modgraphs.cli, modgraphs.graphs,
+                modgraphs.harness):
+        if hasattr(mod, "enumerate_submodules"):
+            monkeypatch.setattr(mod, "enumerate_submodules", counted)
+    assert run_cli("graph", *argv, capsys=capsys)[0] == code
+    assert calls == enumerated
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys):

@@ -21,6 +21,7 @@ from modgraphs import (
     export_graph,
     generate_family,
     graph_metrics,
+    harness,
     parse_descriptor,
     span,
 )
@@ -117,7 +118,7 @@ def test_vertices_are_the_members_the_graph_reads(kind, module_text, ring_text):
     # pis, and for the tilde kinds the ideals that are some member's
     # annihilator (ssi_tilde) or colon ideal (pss_tilde)
     inst = make_instance(module_text, ring_text)
-    g = inst.graph(kind)
+    g = helpers.graph_of(inst, kind)
     if kind in (GraphKind.SSI, GraphKind.PSS):
         members = inst.lattice.proper_nonzero()
     elif kind in (GraphKind.SII, GraphKind.PIS):
@@ -158,7 +159,7 @@ def test_submodules_of_another_module_are_never_found():
         lattice.index_of(foreign)
     with pytest.raises(ValueError):
         lattice.join(three_m, foreign)
-    g = build_graph("ssi", z6)
+    g = build_graph("ssi", lattice)
     assert g.vertices[g.vertex_for(three_m)] == three_m
     with pytest.raises(ValueError):
         g.vertex_for(foreign)
@@ -171,7 +172,7 @@ def test_vertex_index_by_mask_keeps_its_module_check():
     _, plane = parse_descriptor("Z2xZ2", "Z2")
     two_m, line = span(z4, [(2,)]), span(plane, [(1, 0)])
     assert two_m.mask == line.mask == 0b101
-    g = build_graph("ssi", z4)
+    g = build_graph("ssi", enumerate_submodules(z4))
     assert g.vertices[g.vertex_for(two_m)] == two_m
     assert g.vertex_mask([two_m]) == 1
     with pytest.raises(ValueError):
@@ -220,7 +221,7 @@ def test_pss_edges_are_prime_sums(module_text, ring_text):
 def test_edges_match_pairwise_oracle(module_text, ring_text):
     inst = make_instance(module_text, ring_text)
     for kind in GraphKind:
-        g = inst.graph(kind)
+        g = helpers.graph_of(inst, kind)
         lat = inst.lattice if kind in (GraphKind.SSI, GraphKind.PSS) else inst.ring_lattice
         assert list(g.iter_edges()) == helpers.pairwise_edges(kind, lat, g.vertices), kind
 
@@ -236,17 +237,19 @@ def test_building_a_graph_makes_no_lattice_calls(module_text, ring_text, monkeyp
     monkeypatch.setattr(algebra.SubmoduleLattice, "meet", refuse)
     inst = make_instance(module_text, ring_text)
     for kind in GraphKind:
-        assert inst.graph(kind).vertex_count > 0
+        assert helpers.graph_of(inst, kind).vertex_count > 0
 
 
 def test_ideal_graphs_need_the_ring_itself():
+    # sii and pis are graphs on ideals: refused on any other module, by the
+    # builder and by Instance.graph alike, and built on the ring's own lattice
     inst = make_instance("Z2xZ4", "Z4")
-    with pytest.raises(DescriptorError):
-        build_graph(GraphKind.PIS, inst.module, inst.lattice)
-    with pytest.raises(DescriptorError):
-        build_graph(GraphKind.SII, inst.module, inst.lattice)
-    # but Instance.graph reroutes to the underlying ring
-    g = inst.graph(GraphKind.PIS)
+    for kind in (GraphKind.SII, GraphKind.PIS):
+        with pytest.raises(DescriptorError, match=f"^graph kind {kind} is an ideal graph"):
+            build_graph(kind, inst.lattice)
+        with pytest.raises(DescriptorError, match=f"^graph kind {kind} is an ideal graph"):
+            inst.graph(kind)
+    g = build_graph(GraphKind.PIS, inst.ring_lattice)
     assert [v.label("R") for v in g.vertices] == ["2R"]
 
 
@@ -262,8 +265,8 @@ def test_tilde_graph_of_the_ring_enumerates_once(kind, monkeypatch):
         return real(module, **kwargs)
 
     monkeypatch.setattr(algebra, "enumerate_submodules", counted)
-    _ring, module = parse_descriptor("Z72")
-    g = build_graph(kind, module)
+    monkeypatch.setattr(harness, "enumerate_submodules", counted)
+    g = make_instance("Z72").graph(kind)
     assert calls == ["Z72"]
     assert g.vertex_count == 10  # the proper nonzero ideals of Z72
 
@@ -440,7 +443,7 @@ def test_vector_space_edge_counts_match_the_closed_form(p, k):
     lattice = enumerate_submodules(module)
     want = helpers.vector_space_edge_count(p, k)
     for kind in (GraphKind.SSI, GraphKind.PSS):
-        assert build_graph(kind, module, lattice).edge_count == want, kind
+        assert build_graph(kind, lattice).edge_count == want, kind
 
 
 def test_ssi_and_pss_are_isomorphic_by_duality():

@@ -79,7 +79,7 @@ def test_family_respects_order_guard():
 
 def test_family_guard_fires_while_expanding():
     # Z4097 is refused as it is expanded, before the family is returned
-    with pytest.raises(SizeGuardError, match="module order 4097 exceeds the guard 4096"):
+    with pytest.raises(SizeGuardError, match="^ring Z4097 order 4097 exceeds the guard 4096$"):
         generate_family("cyclic:4090..5000")
 
 
