@@ -6,8 +6,9 @@ builds six graphs over the lattice, computes their invariants, and runs
 a registry of machine checks relating lattice structure to graph shape
 across whole families of modules.
 
-The check registry (`modgraphs.checks`) is imported on first use of one
-of its names, so commands that run no check never compile it.
+The check registry (`modgraphs.checks`) and the suite runner with the
+graph invariants (`modgraphs.harness`) are imported on first use of one
+of their names, so commands that run no check compile neither.
 """
 
 from .algebra import (
@@ -28,35 +29,25 @@ from .algebra import (
     second_socle,
     span,
 )
-from .cli import dispatch, main
-from .graphs import (
-    GraphKind,
-    GraphMetrics,
-    SimpleGraph,
-    build_graph,
-    domination_number,
-    export_graph,
-    graph_metrics,
-)
-from .harness import (
-    DEFAULT_FAMILY,
-    CheckReport,
-    Instance,
-    generate_family,
-    run_suite,
-    select_checks,
-)
+from .cli import DEFAULT_FAMILY, dispatch, main
+from .graphs import GraphKind, Instance, SimpleGraph, build_graph, export_graph
 
 __version__ = "1.0.0"
 
-_CHECK_NAMES = frozenset({"CHECKS", "CHECKS_BY_ID", "Check", "CheckResult", "evaluate_check"})
+# name -> the submodule that defines it, imported when the name is first read
+_LAZY = {
+    **dict.fromkeys(("CHECKS", "CHECKS_BY_ID", "Check", "CheckResult", "evaluate_check"),
+                    "checks"),
+    **dict.fromkeys(("CheckReport", "GraphMetrics", "domination_number", "generate_family",
+                     "graph_metrics", "run_suite", "select_checks"), "harness"),
+}
 
 
 def __getattr__(name):
-    if name not in _CHECK_NAMES:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import checks
-    value = globals()[name] = getattr(checks, name)
+    from importlib import import_module
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
     return value
 
 

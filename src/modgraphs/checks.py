@@ -6,7 +6,7 @@ JSON-safe witness.  Strict checks are expected to hold on every instance
 they apply to; report checks record counterexamples as findings instead
 of failures, for statements that are known to break.
 
-The context object passed in (see `harness.Instance`) memoizes the
+The context object passed in (see `graphs.Instance`) memoizes the
 lattice, graphs, metrics and ring lattice, and `facts` reads what one
 side's checks share once per instance.
 

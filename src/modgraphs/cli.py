@@ -18,8 +18,10 @@ from .algebra import (
     enumerate_submodules,
     parse_descriptor,
 )
-from .graphs import GraphKind, _element_set_text, export_graph
-from .harness import DEFAULT_FAMILY, Instance, run_suite
+from .graphs import GraphKind, Instance, _element_set_text, export_graph
+
+# read at import by `check -h`; the suite itself loads only inside `check`
+DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
 
 def _emit(text: str, out: str | None) -> int:
@@ -95,6 +97,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .harness import run_suite
     report = run_suite(args.family, args.checks, include_timing=args.timing,
                        max_order=args.max_order)
     _emit(report.to_json(), args.out)

@@ -20,31 +20,30 @@ take D(W), the vertices inside W, over the witnesses containing N.
 The tilde graphs take their witnesses from the ring lattice and keep
 the bits of the picked ideals only.  A graph is held as these rows.
 
-Conventions for the invariants live in `graph_metrics`: graphs on at
-most one vertex count as connected and complete with diameter 0, a
-disconnected graph has infinite diameter, and an acyclic graph has
-infinite girth.  The diameter-2 test first clears the rows of v's `HUBS`
-highest-degree neighbours from its non-neighbours.  SSI(M) and PSS(M)
-are isomorphic (N -> N^perp), so `Instance.metrics` computes one record
-per pair.  No check needs the domination number, a separate search.
+`Instance` holds one module with its lattices and graphs, and picks the
+lattices each kind reads.  The graph invariants live with the check
+suite in `harness`, which `Instance.metrics` imports when first called.
 """
 from __future__ import annotations
 
 import json
 from enum import Enum
-from math import inf, isqrt
-from typing import NamedTuple
+from math import isqrt, lcm
 
 from .algebra import (
+    MAX_LATTICE_SIZE,
+    MAX_MODULE_ORDER,
     DescriptorError,
     FiniteModule,
-    SizeGuardError,
     Submodule,
     SubmoduleLattice,
     _format_element,
     _is_prime,
     _same_module,
     bit_positions,
+    enumerate_submodules,
+    prime_radical,
+    second_socle,
 )
 
 
@@ -197,169 +196,85 @@ def _witness_graph(kind: GraphKind, module: FiniteModule, lattice: SubmoduleLatt
     return SimpleGraph(kind, module, verts, rows)
 
 
-HUBS = 16  # highest-degree vertices whose rows `_within_two` clears first
-DOMINATION_NODES = 1_000_000  # nodes `domination_number` visits on one graph before it refuses
+_TWINS = {GraphKind.SSI: GraphKind.PSS, GraphKind.PSS: GraphKind.SSI}
 
 
-class GraphMetrics(NamedTuple):
-    vertex_count: int
-    edge_count: int
-    is_complete: bool
-    is_connected: bool
-    diameter: float
-    girth: float
-    universal_vertices: tuple[int, ...]
+class Instance:
+    """One module under test, with memoized lattice, graphs and metrics;
+    the socle and radical are read off the lattice on each access, and
+    `facts` holds what the checks read once per side (`checks.facts`)."""
 
+    def __init__(self, module: FiniteModule, *,
+                 max_order: int = MAX_MODULE_ORDER,
+                 max_lattice: int = MAX_LATTICE_SIZE):
+        self.module = module
+        self.ring = module.ring
+        self.max_order = max_order
+        self.max_lattice = max_lattice
+        self._lattice = None
+        self._graphs = {}
+        self._metrics = {}
+        self.facts = {}
+        self.descriptor = module.descriptor
+        if self.ring.modulus != lcm(*module.invariant_factors):
+            self.descriptor += f"/{self.ring.descriptor}"
 
-def _bfs_distances(g: SimpleGraph, root: int) -> tuple[int, int]:
-    """Eccentricity of root within its component, and that component's mask."""
-    adj = g.rows
-    reached = frontier = 1 << root
-    ecc = 0
-    while True:
-        nxt = 0
-        for u in bit_positions(frontier):
-            nxt |= adj[u]
-        frontier = nxt & ~reached
-        if not frontier:
-            return ecc, reached
-        reached |= frontier
-        ecc += 1
+    @property
+    def lattice(self):
+        """M's submodule lattice; Z_n over itself shares its ring's cached one."""
+        if self._lattice is None:
+            self._lattice = (self.ring_lattice if self.module == self.ring.as_module() else
+                             enumerate_submodules(self.module, max_order=self.max_order,
+                                                  max_lattice=self.max_lattice))
+        return self._lattice
 
+    @property
+    def ring_lattice(self):
+        return self.ring.lattice(max_order=self.max_order, max_lattice=self.max_lattice)
 
-def _within_two(rows: list[int]) -> bool:
-    """Whether every two non-adjacent vertices have a common neighbour."""
-    n = len(rows)
-    full = (1 << n) - 1
-    hubs = sorted(range(n), key=lambda u: -rows[u].bit_count())[:HUBS]
-    for v, row in enumerate(rows):
-        far = full & ~row >> v + 1 << v + 1
-        for h in hubs:
-            if row >> h & 1:  # h is a common neighbour of v and all of h's
-                far &= ~rows[h]
-        if any(not rows[u] & row for u in bit_positions(far)):
-            return False
-    return True
+    @property
+    def sec_socle(self) -> Submodule:
+        return second_socle(self.lattice.top, self.lattice)
 
+    @property
+    def radical(self) -> Submodule:
+        return prime_radical(self.lattice)
 
-def _girth(g: SimpleGraph) -> float:
-    # Layered BFS from every root.  A vertex at depth d with a neighbour
-    # at the same depth closes a cycle of length at most 2d+1; one reached
-    # from two vertices at depth d closes one of length at most 2d+2.
-    # From a root on a shortest cycle the bound is met exactly, so the
-    # minimum over roots is the girth.  No simple graph beats 3.
-    adj = g.rows
-    best = inf
-    for root in range(g.vertex_count):
-        reached = frontier = 1 << root
-        depth = 0
-        while frontier and 2 * depth + 1 < best:
-            nxt = 0
-            for u in bit_positions(frontier):
-                row = adj[u]
-                if row & frontier:
-                    best = 2 * depth + 1
-                    break
-                fresh = row & ~reached
-                if fresh & nxt:
-                    best = min(best, 2 * depth + 2)
-                nxt |= fresh
-            if best == 3:
-                return best
-            reached |= nxt
-            frontier = nxt
-            depth += 1
-    return best
+    @property
+    def props(self):
+        return self.lattice.properties()
 
+    def ann_ideal(self, sub: Submodule) -> Submodule:
+        return self.ring_lattice.ideal(sub.exponent)
 
-def domination_number(g: SimpleGraph) -> int:
-    """The fewest vertices whose closed rows cover the graph (0 with no
-    vertex), by iterative deepening: branch on the uncovered vertex with
-    the fewest coverers, tried by falling gain; the last pick is one AND
-    of the rest's closed rows, sparsest first.  SizeGuardError past
-    `DOMINATION_NODES` visited nodes."""
-    n = g.vertex_count
-    if n == 0:
-        return 0
-    closed = [row | 1 << v for v, row in enumerate(g.rows)]
-    # closed neighbourhoods are symmetric: v's coverers are closed[v]
-    scarce = sorted(range(n), key=lambda u: closed[u].bit_count())
-    nodes = 0
+    def colon_of(self, sub: Submodule) -> Submodule:
+        return self.ring_lattice.ideal(sub.quotient_exponent)
 
-    def scarce_first(uncovered: int):
-        """The uncovered vertices, those with the fewest coverers first."""
-        bits = bin(uncovered)[:1:-1].ljust(n, "0")
-        return (u for u in scarce if bits[u] == "1")
+    def graph(self, kind):
+        """The kind's graph; an ideal kind needs M to be the ring over itself."""
+        kind = _coerce_kind(kind)
+        if kind not in self._graphs:
+            self._graphs[kind] = build_graph(
+                kind, self.lattice, self.ring_lattice if kind in TILDE_KINDS else None)
+        return self._graphs[kind]
 
-    def dominated(uncovered: int, budget: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > DOMINATION_NODES:
-            raise SizeGuardError(
-                f"domination search on {g.kind.value} of {g.module.descriptor} "
-                f"exceeded {DOMINATION_NODES} nodes")
-        if budget == 1:
-            # one vertex covers the rest iff their closed rows share a bit
-            common = -1
-            for u in scarce_first(uncovered):
-                common &= closed[u]
-                if not common:
-                    return False
-            return True
-        # no pick covers more than the most any vertex still covers
-        gains = [(c & uncovered).bit_count() for c in closed]
-        if uncovered.bit_count() > budget * max(gains):
-            return False
-        # the vertex with the fewest coverers, its coverers tried by falling gain
-        v = next(scarce_first(uncovered))
-        for u in sorted(bit_positions(closed[v]), key=lambda u: -gains[u]):
-            rest = uncovered & ~closed[u]
-            if not rest or dominated(rest, budget - 1):
-                return True
-        return False
+    def metrics(self, kind):
+        """The graph's invariants, computed once per SSI/PSS pair: N -> N^perp
+        into the character group M^ (isomorphic to M) reverses inclusion and
+        gives exp(N) = exp(M^/N^perp), so it maps SSI(M) onto PSS(M).  The
+        second kind asked for reads the first's record but for the indices
+        in `universal_vertices`."""
+        kind = _coerce_kind(kind)
+        if kind not in self._metrics:
+            from .harness import graph_metrics, universal_vertices  # only checks need them
+            g = self.graph(kind)
+            twin = self._metrics.get(_TWINS.get(kind))
+            self._metrics[kind] = (graph_metrics(g) if twin is None else
+                                   twin._replace(universal_vertices=universal_vertices(g)))
+        return self._metrics[kind]
 
-    k = 1
-    while not dominated((1 << n) - 1, k):
-        k += 1
-    return k
-
-
-def universal_vertices(g: SimpleGraph) -> tuple[int, ...]:
-    """The vertices adjacent to every other vertex."""
-    others = g.vertex_count - 1
-    return tuple(v for v, row in enumerate(g.rows) if row.bit_count() == others)
-
-
-def graph_metrics(g: SimpleGraph) -> GraphMetrics:
-    """All invariants of one graph, under the documented conventions."""
-    n = g.vertex_count
-    m = g.edge_count
-    is_complete = m == n * (n - 1) // 2
-
-    if n <= 1:
-        connected = True
-        diameter: float = 0
-    else:
-        _ecc, reached = _bfs_distances(g, 0)
-        connected = reached == (1 << n) - 1
-        if not connected:
-            diameter = inf
-        elif is_complete:
-            diameter = 1
-        elif _within_two(g.rows):
-            diameter = 2
-        else:
-            diameter = max(_bfs_distances(g, root)[0] for root in range(n))
-
-    return GraphMetrics(
-        vertex_count=n,
-        edge_count=m,
-        is_complete=is_complete,
-        is_connected=connected,
-        diameter=diameter,
-        girth=_girth(g),
-        universal_vertices=universal_vertices(g),
-    )
+    def __repr__(self):
+        return f"Instance({self.descriptor})"
 
 
 def _element_set_text(sub: Submodule) -> str:

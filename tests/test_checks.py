@@ -8,7 +8,8 @@ import helpers
 from conftest import make_instance
 from modgraphs import (CHECKS, CHECKS_BY_ID, DEFAULT_FAMILY, GraphKind, Instance,
                        SimpleGraph, SubmoduleLattice, checks, domination_number,
-                       evaluate_check, generate_family, graph_metrics, graphs, run_suite)
+                       evaluate_check, generate_family, graph_metrics, graphs, harness,
+                       run_suite)
 from modgraphs.checks import PSS_SIDE, REPORT, SSI_SIDE, STRICT, Check, facts
 from modgraphs.harness import CheckReport
 
@@ -227,7 +228,7 @@ def test_check_runs_no_domination_search_and_no_pis_graph(family, monkeypatch):
         assert kind is not GraphKind.PIS, "PIS graph built"
         return witness_graph(kind, *args)
 
-    monkeypatch.setattr(graphs, "domination_number", refuse)
+    monkeypatch.setattr(harness, "domination_number", refuse)
     monkeypatch.setattr(graphs, "_witness_graph", no_pis)
     assert not run_suite(family, "all").failures()
 

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -214,7 +215,7 @@ def test_vector_family_is_refused_before_it_is_built(item, message, monkeypatch,
 def test_domination_search_is_bounded(monkeypatch):
     # no command runs the search; past its node budget the library
     # function refuses, naming the stage and graph
-    monkeypatch.setattr(modgraphs.graphs, "DOMINATION_NODES", 5)
+    monkeypatch.setattr(modgraphs.harness, "DOMINATION_NODES", 5)
     _, module = modgraphs.parse_descriptor("Z5xZ5xZ5", "Z5")
     g = modgraphs.build_graph("pss", modgraphs.enumerate_submodules(module))
     with pytest.raises(modgraphs.SizeGuardError) as refused:
@@ -668,29 +669,58 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert "modgraphs.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "ast", "dis", "argparse", "gettext"}), \
         sorted(loaded)
+    # the check registry, the suite runner and the graph invariants wait for `check`
+    assert {name for name in loaded if name.partition(".")[0] == "modgraphs"} == {
+        "modgraphs", "modgraphs.algebra", "modgraphs.graphs", "modgraphs.cli"}
 
 
 def test_only_check_loads_the_check_registry():
-    # graph, classify and enumerate never compile checks.py; check loads it
-    # inside dispatch, not at import
+    # graph, classify and enumerate never compile checks.py or harness.py;
+    # check loads both inside dispatch, not at import
     probe = textwrap.dedent("""
         import contextlib, io, json, sys
         import modgraphs.cli
-        seen = ["modgraphs.checks" in sys.modules]
+
+        def loaded():
+            return [name in sys.modules for name in ("modgraphs.checks", "modgraphs.harness")]
+
+        seen = [loaded()]
         for argv in (["graph", "--module", "Z12", "--kind", "ssi"],
                      ["classify", "--module", "Z12"],
                      ["enumerate", "--module", "Z12"],
                      ["check", "--family", "cyclic:2..3"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 rc = modgraphs.cli.dispatch(argv)
-            seen.append([argv[0], rc, "modgraphs.checks" in sys.modules])
+            seen.append([argv[0], rc, loaded()])
         print(json.dumps(seen))
     """)
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60, env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [False, ["graph", 0, False], ["classify", 0, False],
-                                       ["enumerate", 0, False], ["check", 0, True]]
+    neither = [False, False]
+    assert json.loads(proc.stdout) == [neither, ["graph", 0, neither],
+                                       ["classify", 0, neither], ["enumerate", 0, neither],
+                                       ["check", 0, [True, True]]]
+
+
+# A source file whose token count passes a power of two (2,048, 4,096, ...)
+# doubles the compiler's token array; each module stays under the one it
+# lands under now, so a new module, or one that crosses, is named here.
+TOKEN_CEILINGS = {"__init__": 2048, "__main__": 2048, "cli": 2048, "graphs": 2048,
+                  "checks": 4096, "harness": 4096, "algebra": 8192}
+
+
+def test_modules_stay_under_their_token_ceilings():
+    # counted as the README counts: tokenize tokens but comments and blank lines
+    counts = {}
+    for path in sorted(Path(modgraphs.__file__).parent.glob("*.py")):
+        with path.open(encoding="utf-8") as fh:
+            counts[path.stem] = sum(
+                token.type not in (tokenize.COMMENT, tokenize.NL)
+                for token in tokenize.generate_tokens(fh.readline))
+    assert counts.keys() == TOKEN_CEILINGS.keys(), str(counts)
+    over = {name: n for name, n in counts.items() if n >= TOKEN_CEILINGS[name]}
+    assert not over, f"at or over the ceiling: {over}; every count: {counts}"
 
 
 def test_package_names_resolve_and_star_import_works():

@@ -21,7 +21,7 @@ from modgraphs import (
     export_graph,
     generate_family,
     graph_metrics,
-    harness,
+    graphs,
     parse_descriptor,
     span,
 )
@@ -265,7 +265,7 @@ def test_tilde_graph_of_the_ring_enumerates_once(kind, monkeypatch):
         return real(module, **kwargs)
 
     monkeypatch.setattr(algebra, "enumerate_submodules", counted)
-    monkeypatch.setattr(harness, "enumerate_submodules", counted)
+    monkeypatch.setattr(graphs, "enumerate_submodules", counted)
     g = make_instance("Z72").graph(kind)
     assert calls == ["Z72"]
     assert g.vertex_count == 10  # the proper nonzero ideals of Z72
@@ -316,7 +316,7 @@ def _clique(vertices):
 # No lattice graph in the samples reaches diameter 3 (C8 forbids it), so
 # the breadth-first fallback behind the complete and diameter-2 shortcuts
 # runs only on graphs built by hand from rows.  The last two have more
-# vertices than `graphs.HUBS`: in the first, vertex 0 has no hub for a
+# vertices than `harness.HUBS`: in the first, vertex 0 has no hub for a
 # neighbour and 0, 3 are at distance 3; in the second, vertex 1's hubs
 # leave the far clique's vertices for the pair loop.
 HAND_GRAPHS = {
