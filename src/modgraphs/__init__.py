@@ -12,6 +12,7 @@ of their names, so commands that run no check compile neither.
 """
 
 from .algebra import (
+    DEFAULT_FAMILY,
     MAX_LATTICE_SIZE,
     MAX_MODULE_ORDER,
     DescriptorError,
@@ -29,7 +30,7 @@ from .algebra import (
     second_socle,
     span,
 )
-from .cli import DEFAULT_FAMILY, dispatch, main
+from .cli import dispatch, main
 from .graphs import GraphKind, Instance, SimpleGraph, build_graph, export_graph
 
 __version__ = "1.0.0"

@@ -45,6 +45,8 @@ Element = tuple[int, ...]
 
 MAX_MODULE_ORDER = 4096
 MAX_LATTICE_SIZE = 20000
+# the family `check` runs when given none
+DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
 
 class DescriptorError(ValueError):

@@ -12,6 +12,7 @@ import sys
 from types import SimpleNamespace
 
 from .algebra import (
+    DEFAULT_FAMILY,
     MAX_MODULE_ORDER,
     DescriptorError,
     SizeGuardError,
@@ -19,9 +20,6 @@ from .algebra import (
     parse_descriptor,
 )
 from .graphs import GraphKind, Instance, _element_set_text, export_graph
-
-# read at import by `check -h`; the suite itself loads only inside `check`
-DEFAULT_FAMILY = "cyclic:2..60,product:ab<=64,vector:2^3,vector:3^3"
 
 
 def _emit(text: str, out: str | None) -> int:

@@ -31,6 +31,7 @@ from math import inf, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
+    DEFAULT_FAMILY,
     MAX_LATTICE_SIZE,
     MAX_MODULE_ORDER,
     DescriptorError,
@@ -43,7 +44,6 @@ from .algebra import (
     guard_module_order,
     parse_factors,
 )
-from .cli import DEFAULT_FAMILY
 from .graphs import Instance, SimpleGraph
 
 if TYPE_CHECKING:  # the check registry is loaded only when a suite runs
