@@ -25,6 +25,7 @@ from .algebra import (
     SubmoduleLattice,
     divisors,
     enumerate_submodules,
+    lattice_size,
     parse_descriptor,
     prime_radical,
     second_socle,
@@ -39,8 +40,9 @@ __version__ = "1.0.0"
 _LAZY = {
     **dict.fromkeys(("CHECKS", "CHECKS_BY_ID", "Check", "CheckResult", "evaluate_check"),
                     "checks"),
-    **dict.fromkeys(("CheckReport", "GraphMetrics", "domination_number", "generate_family",
-                     "graph_metrics", "run_suite", "select_checks"), "harness"),
+    **dict.fromkeys(("CheckReport", "GraphMetrics", "check_results", "domination_number",
+                     "generate_family", "graph_metrics", "report_pieces", "run_suite",
+                     "select_checks"), "harness"),
 }
 
 
@@ -74,6 +76,7 @@ __all__ = [
     "SubmoduleFlags",
     "SubmoduleLattice",
     "build_graph",
+    "check_results",
     "dispatch",
     "divisors",
     "domination_number",
@@ -82,9 +85,11 @@ __all__ = [
     "export_graph",
     "generate_family",
     "graph_metrics",
+    "lattice_size",
     "main",
     "parse_descriptor",
     "prime_radical",
+    "report_pieces",
     "run_suite",
     "second_socle",
     "select_checks",

@@ -125,12 +125,12 @@ class Ring:
                 max_lattice: int = MAX_LATTICE_SIZE) -> "SubmoduleLattice":
         """The ideal lattice, cached after the first call; on every call
         max_order bounds n and max_lattice the lattice's size."""
-        guard_module_order(self.as_module(), max_order)
+        module = self.as_module()
+        guard_module_order(module, max_order)
+        guard_lattice_size(module, max_lattice)
         if self._lattice is None:
             self._lattice = enumerate_submodules(
-                self.as_module(), max_order=max_order, max_lattice=max_lattice)
-        elif len(self._lattice) > max_lattice:
-            raise _lattice_refusal(self.as_module(), max_lattice)
+                module, max_order=max_order, max_lattice=max_lattice)
         return self._lattice
 
     @property
@@ -151,7 +151,7 @@ class FiniteModule:
     """A finite Z_n-module given as Z_{d_1} x ... x Z_{d_k}, each d_i | n."""
 
     __slots__ = ("ring", "invariant_factors", "order", "_hash", "_elements", "_scaled",
-                 "_kernels", "_repeats", "_unit_spans")
+                 "_kernels", "_repeats", "_unit_spans", "_lattice_size")
 
     def __init__(self, ring: Ring, invariant_factors: tuple[int, ...]):
         factors = tuple(invariant_factors)
@@ -172,6 +172,7 @@ class FiniteModule:
         self._kernels = {}
         self._repeats = {}
         self._unit_spans = None
+        self._lattice_size = None
 
     @property
     def exponent(self) -> int:
@@ -550,9 +551,55 @@ def guard_module_order(module: FiniteModule, max_order: int) -> None:
         raise SizeGuardError(f"{shown} exceeds the guard {max_order}")
 
 
-def _lattice_refusal(module: FiniteModule, max_lattice: int) -> SizeGuardError:
-    """Refuse a lattice past max_lattice, naming the module."""
-    return SizeGuardError(f"{_module_name(module)} lattice size exceeds the guard {max_lattice}")
+def _gaussian(n: int, k: int, p: int) -> int:
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for j in range(k):
+        num *= p ** (n - j) - 1
+        den *= p ** (j + 1) - 1
+    return num // den
+
+
+def lattice_size(module: FiniteModule) -> int:
+    """|L(M)|, counted without enumerating and kept on the module.
+
+    L(M) is the product of the lattices of the p-parts.  A p-part of type
+    lambda has alpha_lambda(mu; p) subgroups of type mu (Birkhoff; see
+    L. M. Butler, Subgroup Lattices and Symmetric Functions, 1994): with
+    l, m the conjugates of lambda, mu, the product over i >= 1 of
+    p^(m_{i+1}(l_i - m_i)) [l_i - m_{i+1} choose m_i - m_{i+1}]_p, where
+    l_i counts the factors p^i divides.  The sum over mu runs down i,
+    keyed by m_i.
+    """
+    if module._lattice_size is None:
+        size = 1
+        for p in filter(_is_prime, divisors(module.exponent)):
+            ks = []  # the p-exponent of each factor that p divides
+            for d in module.invariant_factors:
+                k = 0
+                while d % p == 0:
+                    d, k = d // p, k + 1
+                if k:
+                    ks.append(k)
+            if len(ks) == 1:  # a cyclic Z_{p^k} has k + 1 members
+                size *= ks[0] + 1
+                continue
+            ways = {0: 1}  # m_{i+1} -> the ways to pick m_{i+1}, m_{i+2}, ...
+            for i in range(max(ks), 0, -1):
+                li = sum(k >= i for k in ks)
+                ways = {mi: sum(p ** (m * (li - mi)) * _gaussian(li - m, mi - m, p) * w
+                                for m, w in ways.items() if m <= mi)
+                        for mi in range(li + 1)}
+            size *= sum(ways.values())
+        module._lattice_size = size
+    return module._lattice_size
+
+
+def guard_lattice_size(module: FiniteModule, max_lattice: int) -> None:
+    """Refuse a module of more than max_lattice submodules, naming it."""
+    if lattice_size(module) > max_lattice:
+        raise SizeGuardError(
+            f"{_module_name(module)} lattice size exceeds the guard {max_lattice}")
 
 
 def enumerate_submodules(module: FiniteModule, *,
@@ -566,15 +613,15 @@ def enumerate_submodules(module: FiniteModule, *,
     else walked one cover step per Hasse edge.  A member of L(M) is the
     intersection of one member of each interval, and its exponent, and
     that of M over it, the products of theirs; so a cyclic Z_d gets each
-    cZ_d, of exponent d/c and quotient exponent c.
+    cZ_d, of exponent d/c and quotient exponent c.  Both guards refuse
+    before any cover step: the order first, then `lattice_size`.
     """
     guard_module_order(module, max_order)
-    # past the guard, as listing the divisors of a huge exponent is slow;
-    # the lattice keeps their product q
+    # past the order guard, as listing the divisors of a huge exponent is slow
+    guard_lattice_size(module, max_lattice)
+    # the lattice keeps the product q of the primes
     primes = [q for q in divisors(module.exponent) if _is_prime(q)]
-    parts = [_sylow_interval(module, p, max_lattice) for p in primes]
-    if prod(map(len, parts)) > max_lattice:
-        raise _lattice_refusal(module, max_lattice)
+    parts = [_sylow_interval(module, p) for p in primes]
     subs = {(1 << module.order) - 1: (1, 1)}
     for part in parts:
         subs = {m & pm: (e * pe, c * pc) for m, (e, c) in subs.items()
@@ -584,7 +631,7 @@ def enumerate_submodules(module: FiniteModule, *,
         Submodule(module, m, *subs[m]) for m in sorted(subs, key=mask_sort_key)), prod(primes))
 
 
-def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int, tuple]:
+def _sylow_interval(module: FiniteModule, p: int) -> dict[int, tuple]:
     # The members a of [p^a M, M], keyed by mask, with the exponents of their
     # p-parts and of M/a.  Each cyclic p-subgroup <x> is spanned once, as the
     # cover of index p of <px>, and recorded under each of its generators.
@@ -632,8 +679,6 @@ def _sylow_interval(module: FiniteModule, p: int, max_lattice: int) -> dict[int,
             done |= joined
             if joined not in subs:
                 subs[joined] = max(subs[a], size)
-                if len(subs) > max_lattice:
-                    raise _lattice_refusal(module, max_lattice)
                 queue.append(joined)
     return {m: (e, _quotient_exponent(module, m)) for m, e in subs.items()}
 

@@ -3,7 +3,8 @@
 
 Exit codes: 0 success (or help), 1 failed strict checks (with --strict) or
 findings (with --fail-on-findings), 2 descriptor/usage errors or an
-unwritable --out file, 3 size-guard stops.
+unwritable --out file, 3 size-guard stops.  `check` writes its report one
+result at a time, once every guard has passed on the whole family.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from types import SimpleNamespace
 
 from .algebra import (
     DEFAULT_FAMILY,
+    MAX_LATTICE_SIZE,
     MAX_MODULE_ORDER,
     DescriptorError,
     SizeGuardError,
@@ -22,20 +24,27 @@ from .algebra import (
 from .graphs import GraphKind, Instance, _element_set_text, export_graph
 
 
-def _emit(text: str, out: str | None) -> int:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(pieces, out: str | None) -> int:
+    """Write the text pieces as each is made, to out or stdout; out is
+    opened only once the first piece is made, past every guard."""
+    pieces = iter(pieces)
+    first = next(pieces)
+    fh = open(out, "w", encoding="utf-8") if out else sys.stdout
+    try:
+        fh.write(first)
+        fh.writelines(pieces)
+    finally:
+        if out:
+            fh.close()
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     _ring, module = parse_descriptor(args.module, args.ring)
-    lattice = enumerate_submodules(module, max_order=args.max_order)
+    lattice = enumerate_submodules(module, max_order=args.max_order,
+                                   max_lattice=args.max_lattice)
     if args.format == "json":
-        return _emit(json.dumps({
+        return _emit((json.dumps({
             "ring": module.ring.descriptor,
             "module": module.descriptor,
             "submodules": [
@@ -47,11 +56,11 @@ def _cmd_enumerate(args) -> int:
                 }
                 for s in lattice.all
             ],
-        }, indent=2) + "\n", args.out)
+        }, indent=2) + "\n",), args.out)
     lines = [f"module {module.descriptor} over {module.ring.descriptor}: "
              f"{len(lattice)} submodules"]
     lines += (f"{s.label()} order={s.order} elements={_element_set_text(s)}" for s in lattice.all)
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit(("\n".join(lines) + "\n",), args.out)
 
 
 _FLAG_NAMES = ("minimal", "maximal", "second", "prime", "large", "small")
@@ -59,7 +68,7 @@ _FLAG_NAMES = ("minimal", "maximal", "second", "prime", "large", "small")
 
 def _cmd_classify(args) -> int:
     _ring, module = parse_descriptor(args.module, args.ring)
-    inst = Instance(module, max_order=args.max_order)
+    inst = Instance(module, max_order=args.max_order, max_lattice=args.max_lattice)
     lat = inst.lattice
     prop_items = inst.props._asdict().items()
     rows = []
@@ -70,14 +79,14 @@ def _cmd_classify(args) -> int:
                      "annihilator": inst.ann_ideal(s).label("R"),
                      "colon": inst.colon_of(s).label("R")})
     if args.format == "json":
-        return _emit(json.dumps({
+        return _emit((json.dumps({
             "ring": module.ring.descriptor,
             "module": module.descriptor,
             "properties": dict(prop_items),
             "second_socle": inst.sec_socle.label(),
             "prime_radical": inst.radical.label(),
             "submodules": rows,
-        }, indent=2) + "\n", args.out)
+        }, indent=2) + "\n",), args.out)
     lines = [f"module {module.descriptor} over {module.ring.descriptor}",
              "properties: " + " ".join(f"{k}={v}" for k, v in prop_items),
              f"second_socle={inst.sec_socle.label()} prime_radical={inst.radical.label()}"]
@@ -85,30 +94,34 @@ def _cmd_classify(args) -> int:
         flag_text = " ".join(f"{name}={row[name]}" for name in _FLAG_NAMES)
         lines.append(f"{row['label']}: order={row['order']} {flag_text} "
                      f"annihilator={row['annihilator']} colon={row['colon']}")
-    return _emit("\n".join(lines) + "\n", args.out)
+    return _emit(("\n".join(lines) + "\n",), args.out)
 
 
 def _cmd_graph(args) -> int:
     _ring, module = parse_descriptor(args.module, args.ring)
-    g = Instance(module, max_order=args.max_order).graph(args.kind)
-    return _emit(export_graph(g, args.format), args.out)
+    g = Instance(module, max_order=args.max_order, max_lattice=args.max_lattice).graph(args.kind)
+    return _emit((export_graph(g, args.format),), args.out)
 
 
 def _cmd_check(args) -> int:
-    from .harness import run_suite
-    report = run_suite(args.family, args.checks, include_timing=args.timing,
-                       max_order=args.max_order)
-    _emit(report.to_json(), args.out)
-    failed = args.strict and report.failures() or args.fail_on_findings and report.findings()
+    from .harness import check_results, report_pieces
+    results = check_results(args.family, args.checks, max_order=args.max_order,
+                            max_lattice=args.max_lattice)
+    counts = {}  # the summary, filled as the pieces are written
+    _emit(report_pieces(args.checks, args.family, results, counts, args.timing), args.out)
+    failed = args.strict and counts["fail"] or args.fail_on_findings and counts["findings"]
     return 1 if failed else 0
 
 
 # an option is (name, default, kind, help) for --name, dashes for underscores;
 # default ... marks it required, kind is str, int, a tuple of choices or None (a flag)
+_MAX_LATTICE = ("max_lattice", MAX_LATTICE_SIZE, int,
+                "size guard on the number of submodules, and of the ring's ideals")
 _MODULE_OPTIONS = (
     ("module", ..., str, "module descriptor, e.g. Z12 or Z2xZ4"),
     ("ring", None, str, "ring descriptor Z<n>; defaults to the lcm of the module's factors"),
     ("max_order", MAX_MODULE_ORDER, int, "size guard on the module order, and on the ring's"),
+    _MAX_LATTICE,
     ("out", None, str, "write output to this file instead of stdout"),
 )
 _TEXT_OR_JSON = (("format", "text", ("text", "json"), "output format"),)
@@ -128,6 +141,7 @@ _COMMANDS = {
         ("fail_on_findings", False, None, "exit 1 when any report check records a finding"),
         ("timing", False, None, "include per-result millis; the output is not byte-stable"),
         ("max_order", MAX_MODULE_ORDER, int, "size guard on each module's order and its ring's"),
+        _MAX_LATTICE,
         ("out", None, str, "write output to this file instead of stdout"))),
 }
 _HELP = ("help", False, None, "show this help and exit")

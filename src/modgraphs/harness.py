@@ -17,9 +17,12 @@ per pair.  No check needs the domination number, a separate search.
 Only the check suite reads the invariants, so other commands never
 compile this module.
 
-`run_suite` evaluates a selection of checks over a family and returns a
-deterministic report; per-result timings are measured but only included
-in the JSON when explicitly requested, so default output is byte-stable.
+`check_results` evaluates a selection of checks over a family, one
+instance at a time, and `report_pieces` writes the JSON report one piece
+per result as they come, so `check` streams it in constant memory;
+`run_suite` and `CheckReport.to_json` collect and join the same two.
+Per-result timings are measured but only included in the JSON when
+explicitly requested, so default output is byte-stable.
 """
 from __future__ import annotations
 
@@ -41,6 +44,7 @@ from .algebra import (
     _NUMBER,
     _is_prime,
     bit_positions,
+    guard_lattice_size,
     guard_module_order,
     parse_factors,
 )
@@ -263,7 +267,9 @@ def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
     """Expand a family string into instances, first occurrence wins.
 
     Modules over the same Z_n share one Ring, so its ideal lattice is
-    enumerated once per family, as Z_n's own lattice or as a ring lattice.
+    enumerated once per family, as Z_n's own lattice or as a ring lattice;
+    Z_n over itself is the ring's own module, so its lattice is counted
+    once too.
     The order guard runs as each module is expanded, not after the whole
     family is built.
     """
@@ -275,7 +281,8 @@ def generate_family(text: str, *, max_order: int = MAX_MODULE_ORDER,
     rings: dict[int, Ring] = {}
     for item in items:
         for modulus, factors in _expand_item(item, max_order):
-            module = FiniteModule(rings.setdefault(modulus, Ring(modulus)), factors)
+            ring = rings.setdefault(modulus, Ring(modulus))
+            module = ring.as_module() if factors == (modulus,) else FiniteModule(ring, factors)
             guard_module_order(module, max_order)
             inst = Instance(module, max_order=max_order, max_lattice=max_lattice)
             if inst.descriptor not in seen:
@@ -310,6 +317,39 @@ class _Encoded(dict):
         return got
 
 
+def _tally(results, counts: dict):
+    """Pass the results through, counting each verdict into counts, the
+    report's summary."""
+    counts.update({"pass": 0, "fail": 0, "findings": 0, "not_applicable": 0})
+    for r in results:
+        counts["findings" if r.verdict == "finding" else r.verdict] += 1
+        yield r
+
+
+def report_pieces(suite: str, family: str, results, counts: dict,
+                  include_timing: bool = False):
+    """The report, json.dumps(`CheckReport.as_dict()`, indent=2) + "\n",
+    written from its fixed shape one piece per result as each is taken
+    from results, with counts filled as `_tally` does.  The header goes
+    out with the first result, so the guards a generator of results runs
+    before its first yield come before any piece."""
+    enc = _Encoded()
+    head = f'{{\n  "suite": {enc[suite]},\n  "family": {enc[family]},\n  "results": '
+    sep, n = head + "[\n    ", 0
+    for n, r in enumerate(_tally(results, counts), 1):
+        w = ("null" if r.witness is None
+             else json.dumps(r.witness, indent=2).replace("\n", "\n      "))
+        if include_timing:
+            w += ',\n      "millis": ' + ("null" if r.millis is None
+                                          else float.__repr__(r.millis))
+        yield (f'{sep}{{\n      "check": {enc[r.check_id]},\n      "instance": '
+               f'{enc[r.instance]},\n      "verdict": {enc[r.verdict]},\n'
+               f'      "witness": {w}\n    }}')
+        sep = ",\n    "
+    summary = json.dumps(counts, indent=2).replace("\n", "\n  ")
+    yield ("\n  ]" if n else head + "[]") + f',\n  "summary": {summary}\n}}\n'
+
+
 class CheckReport:
     """The results of one suite run, in evaluation order."""
     __slots__ = ("suite", "family", "results", "include_timing")
@@ -322,9 +362,9 @@ class CheckReport:
         self.include_timing = include_timing
 
     def summary(self) -> dict:
-        counts = {"pass": 0, "fail": 0, "findings": 0, "not_applicable": 0}
-        for r in self.results:
-            counts["findings" if r.verdict == "finding" else r.verdict] += 1
+        counts = {}
+        for _ in _tally(self.results, counts):
+            pass
         return counts
 
     def failures(self) -> list[CheckResult]:
@@ -342,42 +382,26 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        # json.dumps(self.as_dict(), indent=2) + "\n", written from the fixed
-        # shape as one list of pieces joined once
-        enc = _Encoded()
-        parts = [f'{{\n  "suite": {enc[self.suite]},\n  "family": {enc[self.family]},\n'
-                 '  "results": ']
-        sep = "[\n    "
-        for r in self.results:
-            w = ("null" if r.witness is None
-                 else json.dumps(r.witness, indent=2).replace("\n", "\n      "))
-            if self.include_timing:
-                w += ',\n      "millis": ' + ("null" if r.millis is None
-                                              else float.__repr__(r.millis))
-            parts.append(f'{sep}{{\n      "check": {enc[r.check_id]},\n      "instance": '
-                         f'{enc[r.instance]},\n      "verdict": {enc[r.verdict]},\n'
-                         f'      "witness": {w}\n    }}')
-            sep = ",\n    "
-        summary = json.dumps(self.summary(), indent=2).replace("\n", "\n  ")
-        parts.append("\n  ]" if self.results else "[]")
-        parts.append(f',\n  "summary": {summary}\n}}\n')
-        return "".join(parts)
+        return "".join(report_pieces(self.suite, self.family, self.results, {},
+                                     self.include_timing))
 
 
-def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,
-              include_timing: bool = False,
-              max_order: int = MAX_MODULE_ORDER,
-              max_lattice: int = MAX_LATTICE_SIZE) -> CheckReport:
-    """Evaluate the selected checks over every instance of the family.
+def check_results(family: str = DEFAULT_FAMILY, checks: str = "strict", *,
+                  max_order: int = MAX_MODULE_ORDER,
+                  max_lattice: int = MAX_LATTICE_SIZE):
+    """Yield the result of each selected check on each instance of the
+    family, in report order, with its millis.
 
-    The whole family is built first, so its order guard stops the run
-    before any check; each instance, with its lattice, graphs and metrics,
-    is dropped once its checks have run.
+    Before the first yield the whole family is built under its order
+    guard, and then every module's lattice is counted under the lattice
+    guard, so any refusal comes before any result.  Each instance, with
+    its lattice, graphs and metrics, is dropped once its checks have run.
     """
     from .checks import evaluate_check  # read here, so a replacement is seen
     selected = select_checks(checks)
     instances = generate_family(family, max_order=max_order, max_lattice=max_lattice)
-    report = CheckReport(suite=checks, family=family, include_timing=include_timing)
+    for inst in instances:
+        guard_lattice_size(inst.module, max_lattice)
     instances.reverse()
     while instances:
         inst = instances.pop()
@@ -386,5 +410,14 @@ def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,
             result = evaluate_check(check, inst)
             # milliseconds to the microsecond; round(x, 3) costs several times more
             result.millis = round((time.perf_counter() - start) * 1e6) / 1000
-            report.results.append(result)
-    return report
+            yield result
+
+
+def run_suite(family: str = DEFAULT_FAMILY, checks: str = "strict", *,
+              include_timing: bool = False,
+              max_order: int = MAX_MODULE_ORDER,
+              max_lattice: int = MAX_LATTICE_SIZE) -> CheckReport:
+    """Every result of `check_results` over the family, collected into one
+    report; every guard stops the run before any check."""
+    return CheckReport(checks, family, list(check_results(
+        family, checks, max_order=max_order, max_lattice=max_lattice)), include_timing)

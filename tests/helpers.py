@@ -20,12 +20,14 @@ search the package's claim does without.
 import argparse
 import io
 import json
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import (combinations, combinations_with_replacement, permutations,
                        product as cartesian)
 from math import comb, gcd, inf, lcm
 
-from modgraphs import DEFAULT_FAMILY, MAX_MODULE_ORDER, GraphKind, build_graph, domination_number
+from modgraphs import (DEFAULT_FAMILY, MAX_LATTICE_SIZE, MAX_MODULE_ORDER, GraphKind, build_graph,
+                       domination_number)
 
 
 def divisors(n):
@@ -222,6 +224,42 @@ def vector_space_edge_count(p, k):
     apart = sum(gaussian_binomial(p, k, a) * gaussian_binomial(p, k - a, b) * p ** (a * b)
                 for a in range(1, k) for b in range(1, k - a + 1))
     return comb(v, 2) - apart // 2
+
+
+def sub_partitions(lam, cap=None):
+    """Every partition mu inside lambda (mu_i <= lambda_i), as tuples of
+    lambda's length, zeros kept."""
+    if not lam:
+        return [()]
+    top = lam[0] if cap is None else min(cap, lam[0])
+    return [(a,) + rest for a in range(top + 1) for rest in sub_partitions(lam[1:], a)]
+
+
+def conjugate(partition):
+    """The conjugate partition: its i-th part counts the parts >= i."""
+    return [sum(part >= i for part in partition) for i in range(1, max(partition, default=0) + 1)]
+
+
+def birkhoff_alpha(lam, mu, p):
+    """alpha_lambda(mu; p), the subgroups of type mu in an abelian p-group of
+    type lambda (Birkhoff): with l, m the conjugates of lambda, mu, the
+    product over i of p^(m_{i+1}(l_i - m_i)) [l_i - m_{i+1} : m_i - m_{i+1}]_p."""
+    l = conjugate(lam)
+    m = conjugate(mu) + [0] * (len(l) + 1)
+    out = 1
+    for i, li in enumerate(l):
+        out *= (p ** (m[i + 1] * (li - m[i]))
+                * gaussian_binomial(p, li - m[i + 1], m[i] - m[i + 1]))
+    return out
+
+
+def birkhoff_orders(lam, p):
+    """Order -> the number of subgroups of that order in an abelian p-group
+    of type lambda, one mu inside lambda at a time."""
+    counts = Counter()
+    for mu in sub_partitions(tuple(lam)):
+        counts[p ** sum(mu)] += birkhoff_alpha(lam, mu, p)
+    return counts
 
 
 # ---- brute-force flags on package objects (raw loops, no lattice flags)
@@ -634,6 +672,7 @@ def build_argparse_parser() -> argparse.ArgumentParser:
                         help="size guard on the module order, and on the "
                              "ring's when its ideal lattice is needed "
                              f"(default {MAX_MODULE_ORDER})")
+        sp.add_argument("--max-lattice", type=int, default=MAX_LATTICE_SIZE)
         sp.add_argument("--out", default=None,
                         help="write output to this file instead of stdout")
 
@@ -667,6 +706,7 @@ def build_argparse_parser() -> argparse.ArgumentParser:
     pk.add_argument("--max-order", type=int, default=MAX_MODULE_ORDER,
                     help="size guard on each module's order and its ring's "
                          f"(default {MAX_MODULE_ORDER})")
+    pk.add_argument("--max-lattice", type=int, default=MAX_LATTICE_SIZE)
     pk.add_argument("--out", default=None)
     return parser
 

@@ -6,7 +6,7 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from conftest import make_instance
@@ -531,6 +531,28 @@ def test_lattice_size_guard_counts_the_product_of_the_parts():
     assert len(enumerate_submodules(module, max_lattice=448)) == 448
 
 
+@pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE + [
+    ("Z2xZ2xZ2xZ2xZ2xZ2", "Z2"), ("Z6xZ6xZ6xZ6", None), ("Z3xZ3xZ3xZ9xZ9", None)])
+def test_lattice_size_counts_the_enumerated_members(module_text, ring_text):
+    _, module = parse_descriptor(module_text, ring_text)
+    assert algebra.lattice_size(module) == len(enumerate_submodules(module))
+
+
+@pytest.mark.parametrize("module_text,ring_text,size", [
+    ("Z2xZ2xZ2xZ2xZ2xZ2xZ2", "Z2", 29212), ("Z3xZ3xZ3xZ3xZ3xZ3", "Z3", 56632)])
+def test_lattice_guard_refuses_on_the_count_before_any_cover_step(
+        module_text, ring_text, size, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a cover step ran")
+
+    monkeypatch.setattr(algebra, "_cover", refuse)
+    _, module = parse_descriptor(module_text, ring_text)
+    assert algebra.lattice_size(module) == size
+    with pytest.raises(SizeGuardError, match=f"^module {module_text} over {ring_text} "
+                                             "lattice size exceeds the guard 20000$"):
+        enumerate_submodules(module)
+
+
 @pytest.mark.parametrize("cached", [False, True])
 def test_ring_lattice_guards_hold_on_every_call(cached):
     # a ring whose ideal lattice is already listed meets the guards a fresh
@@ -628,6 +650,7 @@ def generated_modules(draw):
 @settings(derandomize=True, deadline=None)
 def test_generated_modules_match_oracles(module):
     lat = enumerate_submodules(module)
+    assert algebra.lattice_size(module) == len(lat)
     for s in lat.all:
         assert lat.colon_elements(s) == helpers.brute_colon(s), s
         assert lat.annihilator_elements(s) == helpers.brute_annihilator(s), s
@@ -653,6 +676,28 @@ def test_generated_member_tuples_and_flags_are_the_predicates(module):
 def test_generated_modules_closed_form_claims_match_oracles(module):
     inst = Instance(module)
     assert closed_form_claims(inst) == helpers.brute_claims(inst)
+
+
+@st.composite
+def large_p_groups(draw):
+    # abelian p-groups of rank 3 to 5 past |M| = 32, the bound of
+    # generated_modules, with at most 3,000 subgroups
+    p = draw(st.sampled_from([2, 3, 5]))
+    powers = sorted(draw(st.lists(st.integers(1, 4), min_size=3, max_size=5)), reverse=True)
+    assume(32 < p ** sum(powers) <= 4096)
+    assume(sum(helpers.birkhoff_orders(powers, p).values()) <= 3000)
+    factors = tuple(p ** k for k in reversed(powers))
+    return FiniteModule(Ring(factors[-1]), factors), powers, p
+
+
+@given(large_p_groups())
+@settings(derandomize=True, deadline=None, max_examples=40)
+def test_large_p_groups_have_birkhoffs_count_of_each_order(data):
+    # the members of order p^j are the subgroups of the types mu of size j
+    module, powers, p = data
+    want = helpers.birkhoff_orders(powers, p)
+    assert Counter(s.order for s in enumerate_submodules(module)) == want
+    assert algebra.lattice_size(module) == sum(want.values())
 
 
 @given(st.sampled_from([(12, "Z12"), (16, "Z16"), (18, "Z18"), (8, "Z2xZ4")]),

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 import tokenize
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -139,6 +140,49 @@ def test_family_run_names_the_module_past_the_order_guard(capsys):
     code, out, err = run_cli("check", "--family", "cyclic:2..4,zmod:Z64xZ64xZ2", capsys=capsys)
     assert (code, out) == (3, "")
     assert err == "error: module Z64xZ64xZ2 over Z64 order 8192 exceeds the guard 4096\n"
+
+
+Z2_4, Z2_7 = "x".join(["Z2"] * 4), "x".join(["Z2"] * 7)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--family", f"zmod:{Z2_4}/Z2", "--checks", "all"),
+    ("enumerate", "--module", Z2_4, "--ring", "Z2"),
+    ("classify", "--module", Z2_4, "--ring", "Z2"),
+    ("graph", "--module", Z2_4, "--ring", "Z2", "--kind", "ssi"),
+], ids=["check", "enumerate", "classify", "graph"])
+def test_max_lattice_sets_the_lattice_guard(argv, capsys):
+    # Z2^4 over Z2 has 67 submodules
+    code, out, err = run_cli(*argv, "--max-lattice", "66", capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == f"error: module {Z2_4} over Z2 lattice size exceeds the guard 66\n"
+    code, out, err = run_cli(*argv, "--max-lattice", "67", capsys=capsys)
+    assert (code, err) == (0, "") and out
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("check", "--family", f"cyclic:2..4,zmod:{Z2_7}/Z2"), f"module {Z2_7} over Z2"),
+    (("check", "--family", "vector:3^6"), "module Z3xZ3xZ3xZ3xZ3xZ3 over Z3"),
+    (("enumerate", "--module", Z2_7, "--ring", "Z2"), f"module {Z2_7} over Z2"),
+    (("classify", "--module", Z2_7, "--ring", "Z2"), f"module {Z2_7} over Z2"),
+    (("graph", "--module", Z2_7, "--ring", "Z2", "--kind", "pss"), f"module {Z2_7} over Z2"),
+], ids=["check-Z2^7", "check-vector-3^6", "enumerate", "classify", "graph"])
+def test_oversize_lattices_are_refused_before_any_cover_step(argv, name, monkeypatch, capsys):
+    # Z2^7 has 29,212 submodules and F_3^6 56,632: the count refuses both
+    # at once, where a walk would first climb to the guard
+    import modgraphs.checks
+    import modgraphs.harness  # compiled before the clock starts
+
+    def refuse(*args):
+        raise AssertionError("a cover step ran")
+
+    monkeypatch.setattr(modgraphs.algebra, "_cover", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv, capsys=capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert err == f"error: {name} lattice size exceeds the guard 20000\n"
+    assert elapsed < 0.1
 
 
 def test_check_reads_the_ring_lattice_only_where_a_check_needs_it(capsys):
@@ -277,6 +321,7 @@ def test_unknown_graph_kind_is_usage_error(capsys):
 MODULE_VALUES = {"--module": ["Z12", "Z2xZ4", "", "-5", "-a b", "-x"],
                  "--ring": ["Z24", "Z4"],
                  "--max-order": ["100", "4096", "-5", " 7", "1_000", "ten", "4.5"],
+                 "--max-lattice": ["66", "20000", "-1", "x"],
                  "--out": ["out.txt", "-"]}
 OPTIONS = {
     "enumerate": {**MODULE_VALUES, "--format": ["json", "text", "dot"]},
@@ -285,7 +330,8 @@ OPTIONS = {
               "--format": ["dot", "json", "text"]},
     "check": {"--family": ["zmod:Z16", "cyclic:2..4"], "--checks": ["C6,D6", "all"],
               "--strict": None, "--fail-on-findings": None, "--timing": None,
-              "--max-order": MODULE_VALUES["--max-order"], "--out": ["out.txt"]},
+              "--max-order": MODULE_VALUES["--max-order"],
+              "--max-lattice": MODULE_VALUES["--max-lattice"], "--out": ["out.txt"]},
 }
 REQUIRED = {"enumerate": ["--module", "Z6"], "classify": ["--module", "Z6"],
             "graph": ["--module", "Z6", "--kind", "pss"], "check": []}
@@ -603,6 +649,62 @@ def test_check_out_file(tmp_path, capsys):
     assert out == ""
     data = json.loads(target.read_text())
     assert data["summary"]["findings"] == 2
+
+
+def test_check_streams_the_report_without_collecting_it(monkeypatch, capsys):
+    # `check` writes each result's piece as it is made: neither the
+    # collected report nor its one-string JSON is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("the whole report was collected")
+
+    monkeypatch.setattr(modgraphs.harness, "run_suite", refuse)
+    monkeypatch.setattr(modgraphs.harness.CheckReport, "to_json", refuse)
+    code, out, _ = run_cli("check", "--checks", "all", capsys=capsys)
+    blob = out.encode()
+    assert (code, len(blob), hashlib.sha256(blob).hexdigest()) == (
+        0, 488363, "e4e5d4c2c1dc61d4bf499644f6996921d3007c8b29efedeaa6014b36cc452e0e")
+
+
+@pytest.mark.parametrize("flag,verdict,code", [
+    ("--strict", "fail", 1), ("--fail-on-findings", "finding", 1),
+    ("--strict", "finding", 0), ("--fail-on-findings", "fail", 0),
+    ("--timing", "fail", 0), ("--timing", "finding", 0),
+])
+def test_exit_codes_follow_the_streamed_verdicts(flag, verdict, code, monkeypatch, capsys):
+    # one result of the middle instance is turned into a failure or a finding
+    import modgraphs.checks
+    evaluate = modgraphs.checks.evaluate_check
+
+    def one_verdict(check, inst):
+        result = evaluate(check, inst)
+        if (check.id, inst.descriptor) == ("C1", "Z3"):
+            result.verdict = verdict
+        return result
+
+    monkeypatch.setattr(modgraphs.checks, "evaluate_check", one_verdict)
+    got, out, _ = run_cli("check", "--family", "cyclic:2..4", "--checks", "C1,C2", flag,
+                          capsys=capsys)
+    summary = json.loads(out)["summary"]
+    assert got == code
+    assert summary["fail" if verdict == "fail" else "findings"] == 1
+
+
+@pytest.mark.parametrize("family", [f"cyclic:2..4,zmod:{Z2_7}/Z2", "cyclic:2..4,zmod:Z64xZ64xZ2",
+                                    "planet:9"])
+def test_a_refused_check_creates_no_out_file(family, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, err = run_cli("check", "--family", family, "--out", str(target), capsys=capsys)
+    assert code in (2, 3) and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_check_to_an_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli("check", "--family", "zmod:Z12", "--checks", "C1",
+                             "--out", str(target), capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_check_bad_family(capsys):
