@@ -21,7 +21,6 @@ from .algebra import (
     Ring,
     SizeGuardError,
     Submodule,
-    SubmoduleFlags,
     SubmoduleLattice,
     divisors,
     enumerate_submodules,
@@ -73,7 +72,6 @@ __all__ = [
     "SimpleGraph",
     "SizeGuardError",
     "Submodule",
-    "SubmoduleFlags",
     "SubmoduleLattice",
     "build_graph",
     "check_results",

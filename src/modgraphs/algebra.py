@@ -302,20 +302,19 @@ class Submodule:
     Bit p of `mask` is set when the element at position p of
     `module.elements()` lies in the submodule.  Equality is equal masks
     in equal modules, and `<=`/`<` are mask containment.  `exponent` is
-    exp(N), which every constructor already knows; exp(M/N), unless
-    enumeration hands it in, and the canonical generators are computed on
-    first read and kept, and the element set is derived from the mask on
-    each read of `elements`.
+    exp(N) and `quotient_exponent` exp(M/N), which every constructor
+    gives; only the canonical generators are computed on first read and
+    kept, and the element set is derived from the mask on each read of
+    `elements`.
     """
 
-    __slots__ = ("module", "mask", "exponent", "_quotient_exponent", "_generators")
+    __slots__ = ("module", "mask", "exponent", "quotient_exponent", "_generators")
 
-    def __init__(self, module: FiniteModule, mask: int, exponent: int,
-                 quotient_exponent: int | None = None):
+    def __init__(self, module: FiniteModule, mask: int, exponent: int, quotient_exponent: int):
         self.module = module
         self.mask = mask
         self.exponent = exponent
-        self._quotient_exponent = quotient_exponent
+        self.quotient_exponent = quotient_exponent
         self._generators = None
 
     @property
@@ -339,13 +338,6 @@ class Submodule:
     @property
     def is_full(self) -> bool:
         return self.mask.bit_count() == self.module.order
-
-    @property
-    def quotient_exponent(self) -> int:
-        """exp(M/N), the lcm of the orders |<e_i>| / |<e_i> n N| of e_i + N."""
-        if self._quotient_exponent is None:
-            self._quotient_exponent = _quotient_exponent(self.module, self.mask)
-        return self._quotient_exponent
 
     def label(self, symbol: str = "M") -> str:
         """Short name: 0, M, dM when the submodule equals d*M, else generators;
@@ -493,8 +485,9 @@ def span(module: FiniteModule, gens) -> Submodule:
         if not module.contains(g):
             raise ValueError(f"element {g!r} is not in {module.descriptor}")
     factors = module.invariant_factors
-    return Submodule(module, _closure(module, gens),
-                     lcm(*(d // gcd(a, d) for g in gens for a, d in zip(g, factors))))
+    mask = _closure(module, gens)
+    exponent = lcm(*(d // gcd(a, d) for g in gens for a, d in zip(g, factors)))
+    return Submodule(module, mask, exponent, _quotient_exponent(module, mask))
 
 
 # The member families a lattice lists, as tests on a member's own numbers;
@@ -510,15 +503,6 @@ _MEMBER_TESTS = {
     "maximal": lambda s: not s.is_zero and _is_prime(s.module.order // s.mask.bit_count()),
     "proper_nonzero": lambda s: not s.is_zero and not s.is_full,
 }
-
-
-class SubmoduleFlags(NamedTuple):
-    is_prime: bool
-    is_second: bool
-    is_minimal: bool
-    is_maximal: bool
-    is_large: bool
-    is_small: bool
 
 
 class ModuleProperties(NamedTuple):
@@ -540,15 +524,19 @@ def _module_name(module: FiniteModule) -> str:
             else f"module {module.descriptor} over {ring.descriptor}")
 
 
+def _refusal(module: FiniteModule, what: str, count: int, guard: int) -> SizeGuardError:
+    # past 2^64 by its bit length and unnamed: str() refuses an int of over
+    # 4,300 digits, and a product's descriptor can run to 15,000 factors
+    bits = count.bit_length()
+    shown = (f"{_module_name(module)} {what} {count}" if bits <= 64
+             else f"module {what} at least 2^{bits - 1}")
+    return SizeGuardError(f"{shown} exceeds the guard {guard}")
+
+
 def guard_module_order(module: FiniteModule, max_order: int) -> None:
     """Refuse a module of more than max_order elements, naming it."""
     if module.order > max_order:
-        # past 2^64 by its bit length and unnamed: str() refuses an int of over
-        # 4,300 digits, and a product's descriptor can run to 15,000 factors
-        bits = module.order.bit_length()
-        shown = (f"{_module_name(module)} order {module.order}" if bits <= 64
-                 else f"module order at least 2^{bits - 1}")
-        raise SizeGuardError(f"{shown} exceeds the guard {max_order}")
+        raise _refusal(module, "order", module.order, max_order)
 
 
 def _gaussian(n: int, k: int, p: int) -> int:
@@ -597,9 +585,8 @@ def lattice_size(module: FiniteModule) -> int:
 
 def guard_lattice_size(module: FiniteModule, max_lattice: int) -> None:
     """Refuse a module of more than max_lattice submodules, naming it."""
-    if lattice_size(module) > max_lattice:
-        raise SizeGuardError(
-            f"{_module_name(module)} lattice size exceeds the guard {max_lattice}")
+    if (size := lattice_size(module)) > max_lattice:
+        raise _refusal(module, "lattice size", size, max_lattice)
 
 
 def enumerate_submodules(module: FiniteModule, *,
@@ -805,16 +792,6 @@ class SubmoduleLattice:
         # small iff it lies in qM (for a simple M that is 0)
         self.index_of(sub)
         return sub.mask & self.module.scaled_mask(self.prime_product) == sub.mask
-
-    def flags(self, sub: Submodule) -> SubmoduleFlags:
-        return SubmoduleFlags(
-            is_prime=self.is_prime(sub),
-            is_second=self.is_second(sub),
-            is_minimal=self.is_minimal(sub),
-            is_maximal=self.is_maximal(sub),
-            is_large=self.is_large(sub),
-            is_small=self.is_small(sub),
-        )
 
     def _members(self, family: str) -> tuple[Submodule, ...]:
         got = self._member_tuples.get(family)

@@ -73,9 +73,8 @@ def _cmd_classify(args) -> int:
     prop_items = inst.props._asdict().items()
     rows = []
     for s in lat.all:
-        flags = lat.flags(s)
         rows.append({"label": s.label(), "order": s.order,
-                     **{name: getattr(flags, f"is_{name}") for name in _FLAG_NAMES},
+                     **{name: getattr(lat, f"is_{name}")(s) for name in _FLAG_NAMES},
                      "annihilator": inst.ann_ideal(s).label("R"),
                      "colon": inst.colon_of(s).label("R")})
     if args.format == "json":

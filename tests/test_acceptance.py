@@ -98,8 +98,7 @@ def test_criterion_03_z6_disconnected_extremes():
         assert not m.is_connected
         assert g.degree(0) == g.degree(1) == 0
         for v in g.vertices:
-            flags = inst.lattice.flags(v)
-            assert flags.is_minimal and flags.is_maximal
+            assert inst.lattice.is_minimal(v) and inst.lattice.is_maximal(v)
 
 
 # criterion 4 -- prime-power towers give stars centered on the unique

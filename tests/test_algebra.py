@@ -1,5 +1,8 @@
 """Lattice enumeration, classification flags, and module properties."""
+import contextlib
 import gc
+import io
+import json
 import math
 import random
 import weakref
@@ -18,6 +21,7 @@ from modgraphs import (
     Ring,
     SizeGuardError,
     build_graph,
+    dispatch,
     enumerate_submodules,
     generate_family,
     parse_descriptor,
@@ -76,9 +80,9 @@ class TestFrozenZ12:
 
 def test_z6_three_is_simultaneously_everything(z6):
     lat = z6.lattice
-    flags = lat.flags(by_label(lat, "3M"))
-    assert flags.is_minimal and flags.is_maximal
-    assert flags.is_second and flags.is_prime
+    three = by_label(lat, "3M")
+    assert lat.is_minimal(three) and lat.is_maximal(three)
+    assert lat.is_second(three) and lat.is_prime(three)
 
 
 def test_z4_is_hollow_and_uniform():
@@ -252,13 +256,20 @@ def test_order_flags_join_and_meet_match_bruteforce(module_text, ring_text):
 
 
 def assert_members_are_the_flags(lat):
+    # the member tuples, and each flag `classify` prints, are the predicates
     for family in ("second", "prime", "minimal", "maximal"):
         listed = getattr(lat, f"{family}s")()
         assert listed == tuple(filter(getattr(lat, f"is_{family}"), lat.all)), family
         assert getattr(lat, f"{family}s")() is listed, family
-    for s in lat.all:
-        for name, value in lat.flags(s)._asdict().items():
-            assert value == getattr(lat, name)(s), (s, name)
+    module, out = lat.module, io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert dispatch(["classify", "--module", module.descriptor, "--ring",
+                         module.ring.descriptor, "--format", "json"]) == 0
+    rows = json.loads(out.getvalue())["submodules"]
+    assert [row["label"] for row in rows] == [s.label() for s in lat.all]
+    for s, row in zip(lat.all, rows):
+        for name in ("minimal", "maximal", "second", "prime", "large", "small"):
+            assert row[name] == getattr(lat, f"is_{name}")(s), (s, name)
 
 
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
@@ -331,13 +342,11 @@ def test_module_properties_list_the_nine_in_order(z12):
 
 def _frozen_records(inst):
     lat = inst.lattice
-    records = (lat.flags(lat.all[1]), lat.properties(), inst.metrics(GraphKind.SSI),
-               CHECKS[0], SSI_SIDE)
+    records = (lat.properties(), inst.metrics(GraphKind.SSI), CHECKS[0], SSI_SIDE)
     return {type(r).__name__: r for r in records}
 
 
-@pytest.mark.parametrize("name", ["SubmoduleFlags", "ModuleProperties", "GraphMetrics",
-                                  "Check", "Side"])
+@pytest.mark.parametrize("name", ["ModuleProperties", "GraphMetrics", "Check", "Side"])
 def test_frozen_records_are_hashable_values(name, z12):
     record = _frozen_records(z12)[name]
     first = record._fields[0]
@@ -465,9 +474,14 @@ def test_canonical_generators_regenerate(z2z4):
 @pytest.mark.parametrize("module_text,ring_text", FLAG_SAMPLE)
 def test_exponent_carried_up_the_walk_matches_the_span(module_text, ring_text):
     # enumeration carries exp(a + <g>) = lcm(exp a, |<g>|), span takes the
-    # lcm of the generators' orders; both must name the same exp(N)
+    # lcm of the generators' orders; both must name the same exp(N), and
+    # span reads exp(M/N) off the mask as enumeration does for each part
     for s in make_instance(module_text, ring_text).lattice.all:
-        assert span(s.module, s.generators).exponent == s.exponent, s
+        spanned = span(s.module, s.generators)
+        assert spanned.exponent == s.exponent, s
+        assert spanned.quotient_exponent == s.quotient_exponent, s
+        n = s.module.ring.modulus
+        assert frozenset(range(0, n, spanned.quotient_exponent)) == helpers.brute_colon(s), s
 
 
 # ----------------------------------------------------------- descriptors
@@ -526,7 +540,7 @@ def test_lattice_size_guard_counts_the_product_of_the_parts():
     # their product has 448
     _, module = parse_descriptor("Z6xZ6xZ6")
     with pytest.raises(SizeGuardError,
-                       match="^module Z6xZ6xZ6 over Z6 lattice size exceeds the guard 100$"):
+                       match="^module Z6xZ6xZ6 over Z6 lattice size 448 exceeds the guard 100$"):
         enumerate_submodules(module, max_lattice=100)
     assert len(enumerate_submodules(module, max_lattice=448)) == 448
 
@@ -549,7 +563,7 @@ def test_lattice_guard_refuses_on_the_count_before_any_cover_step(
     _, module = parse_descriptor(module_text, ring_text)
     assert algebra.lattice_size(module) == size
     with pytest.raises(SizeGuardError, match=f"^module {module_text} over {ring_text} "
-                                             "lattice size exceeds the guard 20000$"):
+                                             f"lattice size {size} exceeds the guard 20000$"):
         enumerate_submodules(module)
 
 
@@ -562,7 +576,7 @@ def test_ring_lattice_guards_hold_on_every_call(cached):
         assert len(ring.lattice()) == 13
     with pytest.raises(SizeGuardError, match="^ring Z4096 order 4096 exceeds the guard 100$"):
         Instance(FiniteModule(ring, (2, 4)), max_order=100).ring_lattice
-    with pytest.raises(SizeGuardError, match="^ring Z4096 lattice size exceeds the guard 12$"):
+    with pytest.raises(SizeGuardError, match="^ring Z4096 lattice size 13 exceeds the guard 12$"):
         ring.lattice(max_lattice=12)
 
 

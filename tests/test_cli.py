@@ -131,7 +131,7 @@ def test_family_run_names_the_module_past_the_lattice_guard(capsys):
                              capsys=capsys)
     assert (code, out) == (3, "")
     assert err == ("error: module Z2xZ2xZ2xZ2xZ2xZ2xZ2 over Z2 "
-                   "lattice size exceeds the guard 20000\n")
+                   "lattice size 29212 exceeds the guard 20000\n")
 
 
 def test_family_run_names_the_module_past_the_order_guard(capsys):
@@ -155,17 +155,20 @@ def test_max_lattice_sets_the_lattice_guard(argv, capsys):
     # Z2^4 over Z2 has 67 submodules
     code, out, err = run_cli(*argv, "--max-lattice", "66", capsys=capsys)
     assert (code, out) == (3, "")
-    assert err == f"error: module {Z2_4} over Z2 lattice size exceeds the guard 66\n"
+    assert err == f"error: module {Z2_4} over Z2 lattice size 67 exceeds the guard 66\n"
     code, out, err = run_cli(*argv, "--max-lattice", "67", capsys=capsys)
     assert (code, err) == (0, "") and out
 
 
+Z2_7_SIZE = f"module {Z2_7} over Z2 lattice size 29212"
+
+
 @pytest.mark.parametrize("argv,name", [
-    (("check", "--family", f"cyclic:2..4,zmod:{Z2_7}/Z2"), f"module {Z2_7} over Z2"),
-    (("check", "--family", "vector:3^6"), "module Z3xZ3xZ3xZ3xZ3xZ3 over Z3"),
-    (("enumerate", "--module", Z2_7, "--ring", "Z2"), f"module {Z2_7} over Z2"),
-    (("classify", "--module", Z2_7, "--ring", "Z2"), f"module {Z2_7} over Z2"),
-    (("graph", "--module", Z2_7, "--ring", "Z2", "--kind", "pss"), f"module {Z2_7} over Z2"),
+    (("check", "--family", f"cyclic:2..4,zmod:{Z2_7}/Z2"), Z2_7_SIZE),
+    (("check", "--family", "vector:3^6"), "module Z3xZ3xZ3xZ3xZ3xZ3 over Z3 lattice size 56632"),
+    (("enumerate", "--module", Z2_7, "--ring", "Z2"), Z2_7_SIZE),
+    (("classify", "--module", Z2_7, "--ring", "Z2"), Z2_7_SIZE),
+    (("graph", "--module", Z2_7, "--ring", "Z2", "--kind", "pss"), Z2_7_SIZE),
 ], ids=["check-Z2^7", "check-vector-3^6", "enumerate", "classify", "graph"])
 def test_oversize_lattices_are_refused_before_any_cover_step(argv, name, monkeypatch, capsys):
     # Z2^7 has 29,212 submodules and F_3^6 56,632: the count refuses both
@@ -181,7 +184,7 @@ def test_oversize_lattices_are_refused_before_any_cover_step(argv, name, monkeyp
     code, out, err = run_cli(*argv, capsys=capsys)
     elapsed = time.perf_counter() - start
     assert (code, out) == (3, "")
-    assert err == f"error: {name} lattice size exceeds the guard 20000\n"
+    assert err == f"error: {name} exceeds the guard 20000\n"
     assert elapsed < 0.1
 
 
@@ -235,6 +238,15 @@ def test_huge_numbers_are_refused_without_a_traceback(argv, capsys):
     assert code in (2, 3) and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_a_lattice_count_too_long_to_print_is_named_by_its_bit_length(capsys):
+    # F_2^240 passes an order guard of 2^240, but its count of subspaces has
+    # 14,403 bits, more digits than str() converts
+    code, out, err = run_cli("check", "--family", "vector:2^240", "--max-order", str(2 ** 240),
+                             capsys=capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: module lattice size at least 2^14402 exceeds the guard 20000\n"
 
 
 @pytest.mark.parametrize("item,message", [

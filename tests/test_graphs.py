@@ -364,7 +364,8 @@ def test_flags_graphs_and_metrics_pick_no_generators(monkeypatch):
     inst = make_instance("Z4xZ4xZ4")
     lat = inst.lattice
     for s in lat.all:
-        lat.flags(s)
+        for name in ("second", "prime", "minimal", "maximal", "large", "small"):
+            getattr(lat, f"is_{name}")(s)
     lat.properties()
     for kind in (GraphKind.SSI, GraphKind.PSS):
         assert inst.metrics(kind).vertex_count == len(lat) - 2
